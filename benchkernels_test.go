@@ -2,7 +2,7 @@ package streak
 
 // Micro-benchmarks for the hot-kernel data-layout work: the bitset capacity
 // intersection against the legacy per-edge walk, the SoA tree build/expand
-// path, and warm- vs cold-started B&B simplex. All report allocations —
+// path, and the B&B simplex node cost. All report allocations —
 // the pooled-scratch design targets allocs/op as hard as ns/op, and
 // benchreport gates on both (see -alloc-threshold).
 
@@ -90,10 +90,8 @@ func BenchmarkTreeArena(b *testing.B) {
 
 // bbNodeModel builds a randomized selection model shaped like a tile ILP:
 // SOS candidate groups, covering rows, and fractional-coefficient capacity
-// rows. Distinct float costs keep LP optima unique so the warm path
-// engages, and the tight capacity rows force deep branch-and-bound trees
-// (the regime where parent-basis warm starts and the dual-simplex
-// infeasibility certificate pay off).
+// rows. The tight capacity rows force deep branch-and-bound trees, so the
+// per-node LP re-solve dominates the cost.
 func bbNodeModel(seed int64) *ilp.Model {
 	rng := rand.New(rand.NewSource(seed))
 	nGroups, per := 8, 3
@@ -123,9 +121,9 @@ func bbNodeModel(seed int64) *ilp.Model {
 	return m
 }
 
-// BenchmarkBBNode measures branch-and-bound node cost warm versus cold:
-// the same model set solved with parent-basis warm starts enabled and
-// disabled, reporting ns per explored node alongside the standard metrics.
+// BenchmarkBBNode measures branch-and-bound node cost: a fixed set of
+// feasible selection models solved to optimality, reporting ns per
+// explored node alongside the standard metrics.
 func BenchmarkBBNode(b *testing.B) {
 	var models []*ilp.Model
 	for seed := int64(40); len(models) < 8 && seed < 140; seed++ {
@@ -137,23 +135,17 @@ func BenchmarkBBNode(b *testing.B) {
 	if len(models) < 8 {
 		b.Fatal("not enough feasible models")
 	}
-	for _, cfg := range []struct {
-		name    string
-		disable bool
-	}{{"warm", false}, {"cold", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			b.ReportAllocs()
-			nodes := 0
-			for n := 0; n < b.N; n++ {
-				for _, m := range models {
-					r := ilp.Solve(m, ilp.SolveOptions{DisableWarmLP: cfg.disable})
-					if r.Status != ilp.Optimal {
-						b.Fatalf("status %v", r.Status)
-					}
-					nodes += r.Nodes
-				}
+	b.ReportAllocs()
+	b.ResetTimer()
+	nodes := 0
+	for n := 0; n < b.N; n++ {
+		for _, m := range models {
+			r := ilp.Solve(m, ilp.SolveOptions{})
+			if r.Status != ilp.Optimal {
+				b.Fatalf("status %v", r.Status)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
-		})
+			nodes += r.Nodes
+		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 }

@@ -47,8 +47,8 @@ func TestParseBenchOutput(t *testing.T) {
 
 func TestParseBenchOutputRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
-		"BenchmarkX 12 34919 ns/op extra\n",       // odd value/unit fields
-		"BenchmarkX 12 notanumber ns/op\n",        // bad value
+		"BenchmarkX 12 34919 ns/op extra\n",        // odd value/unit fields
+		"BenchmarkX 12 notanumber ns/op\n",         // bad value
 		"BenchmarkX 99999999999999999999 5 x/op\n", // iteration overflow
 	} {
 		if _, err := ParseBenchOutput(strings.NewReader(bad)); err == nil {

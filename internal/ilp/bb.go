@@ -59,11 +59,6 @@ type SolveOptions struct {
 	// MaxNodes bounds the number of explored B&B nodes. Zero means no
 	// limit.
 	MaxNodes int
-	// DisableWarmLP forces every node's LP relaxation to solve cold from
-	// the all-slack basis instead of warm-starting from the parent's final
-	// basis. Escape hatch for debugging and the warm-vs-cold equivalence
-	// suite; results are identical either way.
-	DisableWarmLP bool
 }
 
 // Result is the outcome of Solve.
@@ -118,15 +113,7 @@ func Solve(m *Model, opt SolveOptions) Result {
 	pruned := 0
 	simplexIters := 0
 	lazyActivated := 0
-	warmSolves := 0
-	coldSolves := 0
-	// Adaptive warm gate: a failed warm attempt (certificate or guard bail)
-	// pays its dual-simplex work on top of the cold solve it falls back to,
-	// so a model whose LPs keep rejecting warm starts must stop attempting
-	// them. The gate is a deterministic function of the search trajectory —
-	// every attempt outcome is result-identical to cold by construction — so
-	// bit-identity with the cold solver is unaffected.
-	warmFails := 0
+	lpSolves := 0
 	scr := getScratch()
 	scrFresh := scr.fresh
 	scr.fresh = false
@@ -143,8 +130,7 @@ func Solve(m *Model, opt SolveOptions) Result {
 		rec.Add(obs.CounterILPBBPruned, int64(pruned))
 		rec.Add(obs.CounterILPSimplexIters, int64(simplexIters))
 		rec.Add(obs.CounterILPLazyActive, int64(lazyActivated))
-		rec.Add(obs.CounterILPLPWarm, int64(warmSolves))
-		rec.Add(obs.CounterILPLPCold, int64(coldSolves))
+		rec.Add(obs.CounterILPLPCold, int64(lpSolves))
 		rec.Add(obs.CounterILPScratchGets, 1)
 		if scrFresh {
 			rec.Add(obs.CounterILPScratchFresh, 1)
@@ -195,57 +181,25 @@ func Solve(m *Model, opt SolveOptions) Result {
 		stack = stack[:len(stack)-1]
 		nodes++
 
-		// Warm start: re-solve from the parent node's final basis when the
-		// snapshot still matches the active row set (a lazy activation in
-		// between invalidates it). The warm path only ever returns proven
-		// optima — anything questionable falls back to a cold solve, so the
-		// search sees identical relaxation results either way.
-		var res lpResult
-		var st *lpState
-		warmed := false
-		if nd.warm != nil {
-			if !opt.DisableWarmLP && warmFails < 16+4*warmSolves && nd.warmCons == len(activeCons) {
-				if wres, wst, ok := m.solveLPWarm(ctx, activeCons, nd.lo, nd.hi, deadline, nd.warm, scr); ok {
-					if wres.status != lpOptimal || warmDecisionSafe(m, wres, bestObj, lazyActive) {
-						res, st, warmed = wres, wst, true
-					} else {
-						warmFails++
-						scr.free(wst)
-					}
-				} else {
-					warmFails++
-				}
-			}
-			scr.free(nd.warm)
-			nd.warm = nil
-		}
-		if warmed {
-			warmSolves++
-		} else {
-			res, st = m.solveLPCold(ctx, activeCons, nd.lo, nd.hi, deadline, scr)
-			coldSolves++
-		}
+		res := m.solveLP(ctx, activeCons, nd.lo, nd.hi, deadline, scr)
+		lpSolves++
 		simplexIters += res.iters
 		// Activate violated lazy rows and re-solve until the relaxation
 		// respects every discovered constraint (bounded rounds per node).
-		// Re-solves go cold: the row set just grew, so no snapshot applies.
 		for round := 0; res.status == lpOptimal && round < 20; round++ {
 			viol := m.violatedLazy(res.x, lazyActive)
 			if len(viol) == 0 {
 				break
 			}
 			activate(viol)
-			scr.free(st)
-			res, st = m.solveLPCold(ctx, activeCons, nd.lo, nd.hi, deadline, scr)
-			coldSolves++
+			res = m.solveLP(ctx, activeCons, nd.lo, nd.hi, deadline, scr)
+			lpSolves++
 			simplexIters += res.iters
 		}
 		switch res.status {
 		case lpInfeasible:
-			scr.free(st)
 			continue
 		case lpIterLimit:
-			scr.free(st)
 			if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 				canceled = true
 				continue
@@ -255,7 +209,6 @@ func Solve(m *Model, opt SolveOptions) Result {
 				continue
 			}
 			// No usable bound; branch blindly on the first unfixed binary.
-			// The aborted tableau is useless mid-pivot, so no warm handoff.
 			j := firstUnfixedInt(m, nd.lo, nd.hi)
 			if j == -1 {
 				continue
@@ -270,13 +223,10 @@ func Solve(m *Model, opt SolveOptions) Result {
 		}
 		if res.obj >= bestObj-1e-9 {
 			pruned++
-			scr.free(st)
 			continue // bound prune
 		}
 		if gi := fractionalSOS(m, res.x); gi >= 0 {
-			before := len(stack)
 			stack = pushSOSChildren(stack, m.sos[gi], nd.lo, nd.hi, res.x)
-			attachWarm(stack, before, st, scr, len(activeCons), opt.DisableWarmLP)
 			continue
 		}
 		frac := mostFractionalInt(m, res.x)
@@ -291,7 +241,6 @@ func Solve(m *Model, opt SolveOptions) Result {
 					x[i] = math.Round(x[i])
 				}
 			}
-			scr.free(st)
 			if viol := m.violatedLazy(x, lazyActive); len(viol) > 0 {
 				activate(viol)
 				stack = append(stack, nd)
@@ -309,15 +258,7 @@ func Solve(m *Model, opt SolveOptions) Result {
 			}
 			continue
 		}
-		before := len(stack)
 		stack = pushChildren(stack, nd.lo, nd.hi, frac)
-		attachWarm(stack, before, st, scr, len(activeCons), opt.DisableWarmLP)
-	}
-
-	// Nodes abandoned by a timeout or cancellation may still hold basis
-	// snapshots; release them so the slices return to the scratch freelists.
-	for i := range stack {
-		scr.free(stack[i].warm)
 	}
 
 	r := Result{Nodes: nodes, Runtime: time.Since(start)}
@@ -336,171 +277,9 @@ func Solve(m *Model, opt SolveOptions) Result {
 	return r
 }
 
-// decisionGuard is the margin every search decision derived from a warm LP
-// result must clear. A warm and a cold solve of the same unique-optimum LP
-// agree to roughly machine precision (~1e-12 observed on these tableaus),
-// so any decision quantity at least this far from its threshold resolves
-// identically under either solve; anything closer makes the warm result
-// unusable. The width is three orders of magnitude above the observed
-// cross-solve noise while staying far below intTol, so ordinary basic
-// values (drift ~1e-16) pass and only genuine knife-edges bail to cold.
-const decisionGuard = 1e-7
-
-// warmDecisionSafe reports whether every decision branch-and-bound would
-// take from res is robust to the sub-decisionGuard numeric differences
-// between a warm and a cold solve of the same LP. It mirrors, in order,
-// each use the search makes of res: lazy-row activation, the incumbent
-// bound prune, integrality classification, SOS group selection and child
-// ordering, and most-fractional variable selection. Any quantity within
-// decisionGuard of its threshold — or any tie the relevant comparison
-// breaks by low-order bits — disqualifies the result.
-func warmDecisionSafe(m *Model, res lpResult, bestObj float64, lazyActive []bool) bool {
-	// Lazy activation: every inactive row must be decisively violated or
-	// decisively satisfied. With any clear violation the node activates and
-	// re-solves cold, so nothing further depends on res.
-	clearViol := false
-	for li, con := range m.lazy {
-		if lazyActive[li] {
-			continue
-		}
-		lhs := 0.0
-		for _, t := range con.terms {
-			lhs += t.Coef * res.x[t.Var]
-		}
-		d := lhs - (con.rhs + 1e-7)
-		if d > -decisionGuard && d < decisionGuard {
-			return false
-		}
-		if d > 0 {
-			clearViol = true
-		}
-	}
-	if clearViol {
-		return true
-	}
-	// Incumbent bound prune must be decisive; a clear prune ends the node.
-	if !math.IsInf(bestObj, 1) {
-		d := res.obj - (bestObj - 1e-9)
-		if d > -decisionGuard && d < decisionGuard {
-			return false
-		}
-		if d > 0 {
-			return true
-		}
-	}
-	// Integrality classification of every binary must be decisive.
-	for i, v := range res.x {
-		if !m.integer[i] {
-			continue
-		}
-		f := math.Abs(v - math.Round(v))
-		if d := f - intTol; d > -decisionGuard && d < decisionGuard {
-			return false
-		}
-	}
-	// SOS group selection: the winning group's fractional mass must clear
-	// both the intTol floor and the runner-up by the guard, and the chosen
-	// group's member values must be pairwise separated — child push order
-	// sorts on them.
-	best, bestMass, secondMass := -1, intTol, intTol
-	for gi, vars := range m.sos {
-		mass := 0.0
-		frac := false
-		for _, v := range vars {
-			mass += res.x[v]
-			if f := math.Abs(res.x[v] - math.Round(res.x[v])); f > intTol {
-				frac = true
-			}
-		}
-		if !frac {
-			continue
-		}
-		if d := mass - intTol; d > -decisionGuard && d < decisionGuard {
-			return false
-		}
-		if mass > bestMass {
-			best, secondMass, bestMass = gi, bestMass, mass
-		} else if mass > secondMass {
-			secondMass = mass
-		}
-	}
-	if best >= 0 {
-		// An exact bitwise tie is safe: selection uses a strict comparison,
-		// so the first group wins deterministically in either run. Only a
-		// near-tie broken by low-order bits is disqualifying.
-		if bestMass-secondMass < decisionGuard {
-			return false
-		}
-		vars := m.sos[best]
-		for a := 0; a < len(vars); a++ {
-			for b := a + 1; b < len(vars); b++ {
-				d := res.x[vars[a]] - res.x[vars[b]]
-				// Exactly equal members sort identically (the comparator is
-				// strict and the sort deterministic); near-equal ones don't.
-				if d > -decisionGuard && d < decisionGuard {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	// Most-fractional branching: winner and runner-up distances to 0.5 must
-	// be separated, and every contender must clear the initial threshold.
-	bestDist, secondDist := 0.5-intTol, 0.5-intTol
-	found := false
-	for i, v := range res.x {
-		if !m.integer[i] {
-			continue
-		}
-		if math.Abs(v-math.Round(v)) < intTol {
-			continue
-		}
-		d := math.Abs(v - 0.5)
-		if diff := d - (0.5 - intTol); diff > -decisionGuard && diff < decisionGuard {
-			return false
-		}
-		if d < bestDist {
-			secondDist, bestDist = bestDist, d
-			found = true
-		} else if d < secondDist {
-			secondDist = d
-		}
-	}
-	if found && secondDist-bestDist < decisionGuard {
-		return false
-	}
-	return true
-}
-
-// bbNode is one branch-and-bound node: per-variable bounds, plus an
-// optional warm-start snapshot of the parent's final simplex basis.
-// warmCons remembers how many rows were active when the snapshot was
-// taken — a global lazy activation in the meantime invalidates it.
+// bbNode is one branch-and-bound node: its per-variable bounds.
 type bbNode struct {
-	lo, hi   []float64
-	warm     *lpState
-	warmCons int
-}
-
-// attachWarm hands the solved node's final state to the stack-top child —
-// the one depth-first search pops next, whose LP differs from the parent
-// by a single bound change and is therefore the best warm candidate. The
-// snapshot is consumed (and its storage recycled) on the very next loop
-// iteration instead of being pinned for the whole sibling set, which keeps
-// the freelist hot and the retention overhead near zero. With no children
-// (or warm starts disabled, or no state to give) the state is recycled
-// immediately.
-func attachWarm(stack []bbNode, from int, st *lpState, scr *lpScratch, nCons int, disabled bool) {
-	if st == nil {
-		return
-	}
-	if len(stack) == from || disabled {
-		scr.free(st)
-		return
-	}
-	top := len(stack) - 1
-	stack[top].warm = st
-	stack[top].warmCons = nCons
+	lo, hi []float64
 }
 
 // countSelected counts the binaries set in a solution — the "routed" axis of

@@ -3,7 +3,9 @@ package ilp
 import (
 	"context"
 	"math"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -14,7 +16,7 @@ func TestLPSimpleKnapsackRelaxation(t *testing.T) {
 	m.SetObj(0, -3)
 	m.SetObj(1, -2)
 	m.AddConstraint([]Term{{0, 1}, {1, 1}}, 1.5)
-	res := m.solveLP(context.Background(), m.cons, []float64{0, 0}, []float64{1, 1}, time.Time{})
+	res := m.solveLP(context.Background(), m.cons, []float64{0, 0}, []float64{1, 1}, time.Time{}, new(lpScratch))
 	if res.status != lpOptimal {
 		t.Fatalf("status = %v", res.status)
 	}
@@ -33,7 +35,7 @@ func TestLPWithFixedLowerBounds(t *testing.T) {
 	m.SetObj(0, 1)
 	m.SetObj(1, -1)
 	m.AddConstraint([]Term{{0, 1}, {1, 1}}, 1)
-	res := m.solveLP(context.Background(), m.cons, []float64{1, 0}, []float64{1, 1}, time.Time{})
+	res := m.solveLP(context.Background(), m.cons, []float64{1, 0}, []float64{1, 1}, time.Time{}, new(lpScratch))
 	if res.status != lpOptimal {
 		t.Fatalf("status = %v", res.status)
 	}
@@ -46,7 +48,7 @@ func TestLPInfeasible(t *testing.T) {
 	// a + b <= 1 with both fixed to 1.
 	m := NewModel(2)
 	m.AddConstraint([]Term{{0, 1}, {1, 1}}, 1)
-	res := m.solveLP(context.Background(), m.cons, []float64{1, 1}, []float64{1, 1}, time.Time{})
+	res := m.solveLP(context.Background(), m.cons, []float64{1, 1}, []float64{1, 1}, time.Time{}, new(lpScratch))
 	if res.status != lpInfeasible {
 		t.Fatalf("status = %v, want infeasible", res.status)
 	}
@@ -57,7 +59,7 @@ func TestLPNegativeRHSFeasible(t *testing.T) {
 	m := NewModel(1)
 	m.SetObj(0, 1)
 	m.AddConstraint([]Term{{0, -1}}, -0.5)
-	res := m.solveLP(context.Background(), m.cons, []float64{0}, []float64{1}, time.Time{})
+	res := m.solveLP(context.Background(), m.cons, []float64{0}, []float64{1}, time.Time{}, new(lpScratch))
 	if res.status != lpOptimal || math.Abs(res.x[0]-0.5) > 1e-6 {
 		t.Fatalf("res = %+v", res)
 	}
@@ -69,7 +71,7 @@ func TestLPDegenerateAndEquality(t *testing.T) {
 	m.SetObj(0, 1)
 	m.AddConstraint([]Term{{0, 1}, {1, 1}}, 1)
 	m.AddConstraint([]Term{{0, -1}, {1, -1}}, -1)
-	res := m.solveLP(context.Background(), m.cons, []float64{0, 0}, []float64{1, 1}, time.Time{})
+	res := m.solveLP(context.Background(), m.cons, []float64{0, 0}, []float64{1, 1}, time.Time{}, new(lpScratch))
 	if res.status != lpOptimal {
 		t.Fatalf("status = %v", res.status)
 	}
@@ -112,55 +114,76 @@ func TestSolveInfeasibleILP(t *testing.T) {
 	}
 }
 
-// bruteForce enumerates all binary assignments (continuous vars greedily
-// set to satisfy product constraints at their minimum) and returns the best
-// objective. Only valid for models whose continuous variables appear in
-// constraints of the form x1 + x2 - y <= 1 with nonnegative objective.
+// bruteForce enumerates every binary assignment and returns the best
+// feasible objective. The walk is in Gray-code order, so each step flips
+// one binary and updates only the rows it appears in. Continuous variables
+// may only appear as the negative term of product rows x1 + x2 - y <= 1
+// (see AddProduct) and carry a nonnegative objective, so each takes the
+// least value its rows allow.
 func bruteForce(m *Model) float64 {
-	n := m.NumVars()
-	var ints []int
-	for i := 0; i < n; i++ {
-		if m.integer[i] {
-			ints = append(ints, i)
+	rows := append(append([]constraint(nil), m.cons...), m.lazy...)
+	lhs := make([]float64, len(rows))   // binary part of each row's left side
+	prod := make([]Term, len(rows))     // each row's continuous term; Var -1 if none
+	cols := make([][]Term, m.NumVars()) // cols[v]: {row, coef} of binary v
+	var ints, conts []int
+	for v, isInt := range m.integer {
+		if isInt {
+			ints = append(ints, v)
+		} else {
+			conts = append(conts, v)
+		}
+	}
+	for r, con := range rows {
+		prod[r].Var = -1
+		for _, tm := range con.terms {
+			if m.integer[tm.Var] {
+				cols[tm.Var] = append(cols[tm.Var], Term{Var: r, Coef: tm.Coef})
+			} else {
+				prod[r] = tm
+			}
 		}
 	}
 	best := inf
-	x := make([]float64, n)
-	for mask := 0; mask < 1<<len(ints); mask++ {
-		for i := range x {
-			x[i] = 0
+	x := make([]float64, m.NumVars())
+	for k := 1; ; k++ {
+		if bruteFeasible(rows, lhs, prod, conts, x) {
+			best = math.Min(best, m.Eval(x))
 		}
-		for k, v := range ints {
-			if mask&(1<<k) != 0 {
-				x[v] = 1
-			}
+		if k == 1<<len(ints) {
+			return best
 		}
-		// Set continuous vars to the minimum forced by their constraints.
-		for _, con := range m.cons {
-			var yv = -1
-			lhs := 0.0
-			for _, tm := range con.terms {
-				if !m.integer[tm.Var] && tm.Coef < 0 {
-					yv = tm.Var
-				} else {
-					lhs += tm.Coef * x[tm.Var]
-				}
-			}
-			if yv >= 0 {
-				need := lhs - con.rhs
-				if need > x[yv] {
-					x[yv] = need
-				}
-			}
-		}
-		if !m.Feasible(x, 1e-9) {
-			continue
-		}
-		if obj := m.Eval(x); obj < best {
-			best = obj
+		v := ints[bits.TrailingZeros(uint(k))]
+		d := 1 - 2*x[v]
+		x[v] += d
+		for _, c := range cols[v] {
+			lhs[c.Var] += d * c.Coef
 		}
 	}
-	return best
+}
+
+// bruteFeasible checks the binaries of x against every plain row, then
+// sets each continuous variable of x to the least value its product rows
+// force and checks it against its upper bound.
+func bruteFeasible(rows []constraint, lhs []float64, prod []Term, conts []int, x []float64) bool {
+	for r, con := range rows {
+		if prod[r].Var < 0 && lhs[r] > con.rhs+1e-9 {
+			return false
+		}
+	}
+	for _, v := range conts {
+		x[v] = 0
+	}
+	for r, con := range rows {
+		if p := prod[r]; p.Var >= 0 {
+			x[p.Var] = math.Max(x[p.Var], (lhs[r]-con.rhs)/-p.Coef)
+		}
+	}
+	for _, v := range conts {
+		if x[v] > 1+1e-9 {
+			return false
+		}
+	}
+	return true
 }
 
 // randomModel builds a random selection-style ILP: groups of binaries with
@@ -218,23 +241,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 120; trial++ {
 		m := randomModel(r)
-		res := Solve(m, SolveOptions{})
-		want := bruteForce(m)
-		if math.IsInf(want, 1) {
-			if res.Status != Infeasible {
-				t.Fatalf("trial %d: brute force infeasible but solver says %v (obj %v)", trial, res.Status, res.Obj)
-			}
-			continue
-		}
-		if res.Status != Optimal {
-			t.Fatalf("trial %d: status = %v, want optimal (brute force obj %v)", trial, res.Status, want)
-		}
-		if math.Abs(res.Obj-want) > 1e-5 {
-			t.Fatalf("trial %d: obj = %v, want %v (x=%v)", trial, res.Obj, want, res.X)
-		}
-		if !m.Feasible(res.X, 1e-5) {
-			t.Fatalf("trial %d: solver returned infeasible x", trial)
-		}
+		checkOptimum(t, trial, m, Solve(m, SolveOptions{}), bruteForce(m))
 	}
 }
 
@@ -372,5 +379,181 @@ func TestProductLinearization(t *testing.T) {
 func TestStatusString(t *testing.T) {
 	if Optimal.String() != "optimal" || TimedOut.String() != "timed-out" {
 		t.Error("status strings wrong")
+	}
+}
+
+// sweepModel draws a random selection model: groups of binary candidates
+// (SOS-branched, at least one required), plus random capacity rows — half
+// eager, half lazy, so lazy activation happens mid-search. Integer costs
+// (every other trial) manufacture degenerate ties between optima. At most
+// 18 binaries keep it within reach of bruteForce.
+func sweepModel(trial int) *Model {
+	rng := rand.New(rand.NewSource(int64(trial)))
+	nGroups := 3 + rng.Intn(4)
+	per := 2 + rng.Intn(2)
+	m := NewModel(nGroups * per)
+	groups := make([][]int, nGroups)
+	for g := 0; g < nGroups; g++ {
+		vars := make([]int, per)
+		terms := make([]Term, per)
+		for k := 0; k < per; k++ {
+			v := g*per + k
+			cost := 1 + rng.Float64()*10
+			if trial%2 == 0 {
+				cost = float64(1 + rng.Intn(6)) // integral: degenerate ties
+			}
+			m.SetObj(v, cost)
+			m.SetInteger(v)
+			vars[k] = v
+			terms[k] = Term{Var: v, Coef: -1}
+		}
+		groups[g] = vars
+		m.AddSOS(vars)
+		m.AddConstraint(terms, -1) // select at least one per group
+	}
+	for e := 0; e < nGroups*2; e++ {
+		terms := make([]Term, 0, nGroups)
+		for _, vars := range groups {
+			terms = append(terms, Term{Var: vars[rng.Intn(len(vars))], Coef: 1})
+		}
+		rhs := float64(1 + rng.Intn(2))
+		if e%2 == 0 {
+			m.AddLazyConstraint(terms, rhs)
+		} else {
+			m.AddConstraint(terms, rhs)
+		}
+	}
+	return m
+}
+
+// sweepModelFloat draws a harder variant: 8 groups of 3, fractional
+// capacity coefficients and right-hand sides, no lazy rows. Pivoting on
+// these produces genuinely inexact arithmetic (unlike the ±1 models above,
+// whose pivots stay on dyadic rationals), with deep search trees.
+func sweepModelFloat(trial int) *Model {
+	rng := rand.New(rand.NewSource(int64(10_000 + trial)))
+	nGroups, per := 8, 3
+	m := NewModel(nGroups * per)
+	groups := make([][]int, nGroups)
+	for g := 0; g < nGroups; g++ {
+		vars := make([]int, per)
+		terms := make([]Term, per)
+		for k := 0; k < per; k++ {
+			v := g*per + k
+			m.SetObj(v, 1+rng.Float64()*10)
+			m.SetInteger(v)
+			vars[k] = v
+			terms[k] = Term{Var: v, Coef: -1}
+		}
+		groups[g] = vars
+		m.AddSOS(vars)
+		m.AddConstraint(terms, -1)
+	}
+	for e := 0; e < nGroups; e++ {
+		terms := make([]Term, 0, nGroups)
+		for _, vars := range groups {
+			terms = append(terms, Term{Var: vars[rng.Intn(len(vars))], Coef: 1 + rng.Float64()})
+		}
+		m.AddConstraint(terms, 2+rng.Float64()*2)
+	}
+	return m
+}
+
+// onePerGroup enumerates every assignment selecting exactly one variable of
+// each SOS group and returns the best feasible objective. For models with
+// positive costs and nonnegative capacity coefficients that is the true
+// optimum: dropping extra selections from a feasible assignment keeps it
+// feasible and lowers its cost.
+func onePerGroup(m *Model) float64 {
+	best := inf
+	x := make([]float64, m.NumVars())
+	var walk func(g int)
+	walk = func(g int) {
+		if g == len(m.sos) {
+			if m.Feasible(x, 1e-9) {
+				best = math.Min(best, m.Eval(x))
+			}
+			return
+		}
+		for _, v := range m.sos[g] {
+			x[v] = 1
+			walk(g + 1)
+			x[v] = 0
+		}
+	}
+	walk(0)
+	return best
+}
+
+// checkOptimum asserts a solve result against an oracle objective: proven
+// optimal at the oracle's objective with a feasible solution, or infeasible
+// exactly when the oracle found nothing.
+func checkOptimum(t *testing.T, trial int, m *Model, res Result, want float64) {
+	t.Helper()
+	if math.IsInf(want, 1) {
+		if res.Status != Infeasible {
+			t.Fatalf("trial %d: oracle infeasible but solver says %v (obj %v)", trial, res.Status, res.Obj)
+		}
+		return
+	}
+	if res.Status != Optimal {
+		t.Fatalf("trial %d: status = %v, want optimal (oracle obj %v)", trial, res.Status, want)
+	}
+	if math.Abs(res.Obj-want) > 1e-5 {
+		t.Fatalf("trial %d: obj = %v, want %v (x=%v)", trial, res.Obj, want, res.X)
+	}
+	if !m.Feasible(res.X, 1e-5) {
+		t.Fatalf("trial %d: solver returned infeasible x", trial)
+	}
+}
+
+// TestSweepMatchesBruteForce checks SOS branching with lazy-row activation
+// against exhaustive enumeration on 300 random selection models.
+func TestSweepMatchesBruteForce(t *testing.T) {
+	trials := 300
+	if testing.Short() {
+		trials = 30
+	}
+	for trial := 0; trial < trials; trial++ {
+		m := sweepModel(trial)
+		checkOptimum(t, trial, m, Solve(m, SolveOptions{}), bruteForce(m))
+	}
+}
+
+// TestSweepFloatCapsMatchesEnumeration checks the fractional-coefficient
+// models, whose deep trees and inexact pivots stress the simplex, against
+// the one-per-group enumeration.
+func TestSweepFloatCapsMatchesEnumeration(t *testing.T) {
+	trials := 100
+	if testing.Short() {
+		trials = 15
+	}
+	for trial := 0; trial < trials; trial++ {
+		m := sweepModelFloat(trial)
+		checkOptimum(t, trial, m, Solve(m, SolveOptions{}), onePerGroup(m))
+	}
+}
+
+// TestCancellationMidSolve cancels solves at staggered points: every run
+// must come back without panicking, and the pooled scratch must come out
+// clean — a fresh solve afterwards still matches a plain Solve exactly.
+func TestCancellationMidSolve(t *testing.T) {
+	m := sweepModel(101)
+	ref := Solve(m, SolveOptions{})
+	for trial := 0; trial < 25; trial++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func(d time.Duration) {
+			time.Sleep(d)
+			cancel()
+		}(time.Duration(trial%5) * 100 * time.Microsecond)
+		// Any terminal status is legitimate — a cancel landing inside the
+		// root relaxation surfaces as an infeasible root.
+		_ = Solve(m, SolveOptions{Ctx: ctx})
+		cancel()
+		clean := Solve(m, SolveOptions{})
+		clean.Runtime = ref.Runtime
+		if !reflect.DeepEqual(clean, ref) {
+			t.Fatalf("trial %d: solve after cancellation %+v, want %+v", trial, clean, ref)
+		}
 	}
 }

@@ -10,10 +10,6 @@ import (
 	"repro/internal/faultinject"
 )
 
-// uniqueTol bounds how close a nonbasic reduced cost may sit to zero before
-// the warm path treats the LP optimum as non-unique and defers to cold.
-const uniqueTol = 1e-6
-
 // lpStatus reports the outcome of an LP relaxation solve.
 type lpStatus int
 
@@ -31,9 +27,8 @@ type lpResult struct {
 	iters  int // simplex iterations spent (pivots + bound flips)
 }
 
-// lpState is one simplex tableau with its basis bookkeeping. Cold solves
-// build it from the all-slack basis; warm solves rebuild it from a parent
-// node's final basis. All storage comes from an lpScratch freelist so
+// lpState is one simplex tableau with its basis bookkeeping, built from
+// the all-slack basis. All storage comes from an lpScratch freelist so
 // steady-state branch-and-bound allocates (almost) nothing per node.
 type lpState struct {
 	n, rows, ncols int
@@ -183,34 +178,22 @@ func (s *lpScratch) free(st *lpState) {
 
 // solveLP minimizes the model objective over the LP relaxation with the
 // given per-variable bounds, using a bounded-variable primal simplex on a
-// dense tableau. Rows that start infeasible (possible once branching fixes
-// lower bounds to 1) get Big-M artificial variables. A non-zero deadline or
-// a done context aborts long solves with lpIterLimit so the branch-and-bound
-// time limit and cancellation hold even when a single relaxation is
-// expensive.
-func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64, deadline time.Time) lpResult {
-	scr := getScratch()
-	res, st := m.solveLPCold(ctx, cons, lo, hi, deadline, scr)
-	scr.free(st)
-	putScratch(scr)
-	return res
-}
-
-// solveLPCold is solveLP building the tableau from the all-slack basis; it
-// returns the final state alongside the result so branch-and-bound can
-// detach it as a warm-start snapshot for child nodes. The caller owns the
-// returned state and must scr.free it (or detach it) eventually.
-func (m *Model) solveLPCold(ctx context.Context, cons []constraint, lo, hi []float64, deadline time.Time, scr *lpScratch) (lpResult, *lpState) {
+// dense tableau drawn from scr and returned to it before solveLP returns.
+// Rows that start infeasible (possible once branching fixes lower bounds to
+// 1) get Big-M artificial variables. A non-zero deadline or a done context
+// aborts long solves with lpIterLimit so the branch-and-bound time limit and
+// cancellation hold even when a single relaxation is expensive.
+func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64, deadline time.Time, scr *lpScratch) lpResult {
 	// Fault seam: an injected error reports this relaxation infeasible (the
 	// node is pruned; at the root the whole solve turns infeasible), a delay
 	// stretches the relaxation past the branch-and-bound deadline.
 	if err := faultinject.Fire(ctx, faultinject.Simplex); err != nil {
-		return lpResult{status: lpInfeasible}, nil
+		return lpResult{status: lpInfeasible}
 	}
 	n := len(m.obj)
 	rows := len(cons)
 	if n == 0 {
-		return lpResult{status: lpOptimal, x: nil, obj: 0}, nil
+		return lpResult{status: lpOptimal, x: nil, obj: 0}
 	}
 
 	// Column layout: [0,n) structural, [n,n+rows) slack, then artificials.
@@ -335,19 +318,19 @@ func (m *Model) solveLPCold(ctx context.Context, cons []constraint, lo, hi []flo
 	}
 	st.objRow = objRow
 
-	status, iter := st.primal(ctx, deadline, 0)
+	defer scr.free(st)
+	status, iter := st.primal(ctx, deadline)
 	if status != lpOptimal {
-		return lpResult{status: status, iters: iter}, st
+		return lpResult{status: status, iters: iter}
 	}
-	return st.extract(m, iter), st
+	return st.extract(m, iter)
 }
 
 // primal runs the bounded-variable primal simplex loop on the state until
 // optimality, iteration limit, deadline, or cancellation. It returns the
-// terminal status (lpOptimal or lpIterLimit) and the iteration count,
-// starting from startIter (warm solves have already spent dual pivots).
-func (st *lpState) primal(ctx context.Context, deadline time.Time, startIter int) (lpStatus, int) {
-	n, rows, ncols := st.n, st.rows, st.ncols
+// terminal status (lpOptimal or lpIterLimit) and the iteration count.
+func (st *lpState) primal(ctx context.Context, deadline time.Time) (lpStatus, int) {
+	rows, ncols := st.rows, st.ncols
 	t, basis, xB := st.t, st.basis, st.xB
 	atUpper, inBasis := st.atUpper, st.inBasis
 	colLo, colHi, objRow := st.colLo, st.colHi, st.objRow
@@ -355,7 +338,7 @@ func (st *lpState) primal(ctx context.Context, deadline time.Time, startIter int
 
 	maxIter := 200 * (rows + ncols + 10)
 	blandAfter := 20 * (rows + ncols + 10)
-	iter := startIter
+	iter := 0
 	for ; ; iter++ {
 		if iter > maxIter {
 			return lpIterLimit, iter
@@ -466,7 +449,6 @@ func (st *lpState) primal(ctx context.Context, deadline time.Time, startIter int
 
 		st.pivot(leave, enter)
 	}
-	_ = n
 	return lpOptimal, iter
 }
 
@@ -531,268 +513,4 @@ func (st *lpState) extract(m *Model, iter int) lpResult {
 		obj += m.obj[j] * x[j]
 	}
 	return lpResult{status: lpOptimal, x: x, obj: obj, iters: iter}
-}
-
-// solveLPWarm re-solves the relaxation under tightened bounds starting from
-// a parent node's final basis: the parent tableau is still valid (same rows,
-// same basis), only the basic values move, and branching only tightens
-// bounds so the parent's optimal basis stays dual feasible. A short dual
-// simplex restores primal feasibility, then the shared primal loop confirms
-// optimality. Returns ok=false when the snapshot does not apply (row count
-// changed, an artificial is basic, numeric trouble) — the caller falls back
-// to a cold solve, which also owns infeasibility detection.
-func (m *Model) solveLPWarm(ctx context.Context, cons []constraint, lo, hi []float64, deadline time.Time, src *lpState, scr *lpScratch) (lpResult, *lpState, bool) {
-	if err := faultinject.Fire(ctx, faultinject.Simplex); err != nil {
-		return lpResult{status: lpInfeasible}, nil, true
-	}
-	n := len(m.obj)
-	rows := len(cons)
-	if src == nil || src.n != n || src.rows != rows || n == 0 {
-		return lpResult{}, nil, false
-	}
-	ncols := n + rows
-	for _, b := range src.basis {
-		if b >= ncols {
-			return lpResult{}, nil, false // artificial basic in parent
-		}
-	}
-	// Early uniqueness screen on the parent's reduced costs, before paying
-	// for the tableau copy: a zero reduced cost on a column still movable
-	// under the child bounds almost always survives to the child optimum,
-	// where the final certificate would reject the solve anyway. (The final
-	// certificate below remains authoritative; this is a fast filter.)
-	for j := 0; j < ncols; j++ {
-		if src.inBasis[j] {
-			continue
-		}
-		if j < n && lo[j] == hi[j] {
-			continue
-		}
-		if r := src.objRow[j]; r > -uniqueTol && r < uniqueTol {
-			return lpResult{}, nil, false
-		}
-	}
-
-	st := scr.newState(n, rows, ncols)
-	copy(st.basis, src.basis)
-	copy(st.atUpper, src.atUpper[:ncols])
-	for i := range st.t {
-		copy(st.t[i], src.t[i][:ncols])
-	}
-	copy(st.colLo, lo)
-	copy(st.colHi, hi)
-	copy(st.cost, m.obj)
-	for j := n; j < ncols; j++ {
-		st.colHi[j] = inf
-	}
-	for j := 0; j < n; j++ {
-		if lo[j] == hi[j] {
-			st.atUpper[j] = false
-		}
-	}
-	for _, b := range st.basis {
-		st.inBasis[b] = true
-	}
-
-	// Reduced costs for the parent basis (costs unchanged, so this is the
-	// parent's dual-feasible objective row rebuilt in the child's state).
-	copy(st.objRow, st.cost)
-	for i, b := range st.basis {
-		cb := st.cost[b]
-		if cb == 0 {
-			continue
-		}
-		ti := st.t[i]
-		for j := 0; j < ncols; j++ {
-			st.objRow[j] -= cb * ti[j]
-		}
-	}
-	// Dual feasibility must hold exactly (up to drift) for the dual simplex
-	// to apply; bound tightenings cannot break it, but accumulated pivot
-	// error can. Bail to cold when it does.
-	for j := 0; j < ncols; j++ {
-		if st.inBasis[j] || st.colLo[j] == st.colHi[j] {
-			continue
-		}
-		if !st.atUpper[j] && st.objRow[j] < -1e-6 {
-			scr.free(st)
-			return lpResult{}, nil, false
-		}
-		if st.atUpper[j] && st.objRow[j] > 1e-6 {
-			scr.free(st)
-			return lpResult{}, nil, false
-		}
-	}
-
-	// Basic values under the child bounds: xB = B^-1 b - sum_j T_j x_j over
-	// nonbasic columns at non-zero bounds. B^-1 sits in the slack block of
-	// the tableau (slack columns of A form the identity).
-	for i := 0; i < rows; i++ {
-		v := 0.0
-		ti := st.t[i]
-		for k := 0; k < rows; k++ {
-			if r := cons[k].rhs; r != 0 {
-				v += ti[n+k] * r
-			}
-		}
-		st.xB[i] = v
-	}
-	for j := 0; j < n; j++ {
-		if st.inBasis[j] {
-			continue
-		}
-		if v := st.nbVal(j); v != 0 {
-			for i := 0; i < rows; i++ {
-				st.xB[i] -= st.t[i][j] * v
-			}
-		}
-	}
-
-	// Dual simplex: repeatedly drive the most-violated basic variable to its
-	// violated bound, entering the nonbasic column that keeps the objective
-	// row dual feasible (minimum ratio).
-	maxIter := 100 * (rows + ncols + 10)
-	iter := 0
-	for ; ; iter++ {
-		if iter > maxIter {
-			scr.free(st)
-			return lpResult{}, nil, false
-		}
-		if iter%64 == 63 {
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				scr.free(st)
-				return lpResult{}, nil, false
-			}
-			if ctx.Err() != nil {
-				scr.free(st)
-				return lpResult{}, nil, false
-			}
-		}
-		leave, worst := -1, tol
-		below := false
-		for i := 0; i < rows; i++ {
-			b := st.basis[i]
-			if d := st.colLo[b] - st.xB[i]; d > worst {
-				leave, worst, below = i, d, true
-			}
-			if d := st.xB[i] - st.colHi[b]; d > worst {
-				leave, worst, below = i, d, false
-			}
-		}
-		if leave == -1 {
-			break // primal feasible
-		}
-		b := st.basis[leave]
-		beta := st.colHi[b]
-		if below {
-			beta = st.colLo[b]
-		}
-		tr := st.t[leave]
-		// Entering column: admissible sign moves x_b toward beta; minimum
-		// reduced-cost ratio preserves dual feasibility; ties take the
-		// smallest column index (deterministic).
-		enter := -1
-		bestRatio := inf
-		for j := 0; j < ncols; j++ {
-			if st.inBasis[j] || st.colLo[j] == st.colHi[j] {
-				continue
-			}
-			c := tr[j]
-			if c > -tol && c < tol {
-				continue
-			}
-			// Moving x_j by delta changes x_b by -c*delta; x_j at its lower
-			// bound may only increase, at its upper only decrease.
-			var ok bool
-			if !st.atUpper[j] {
-				ok = (below && c < 0) || (!below && c > 0)
-			} else {
-				ok = (below && c > 0) || (!below && c < 0)
-			}
-			if !ok {
-				continue
-			}
-			ratio := math.Abs(st.objRow[j] / c)
-			if ratio < bestRatio-tol {
-				bestRatio, enter = ratio, j
-			}
-		}
-		if enter == -1 {
-			// Dual unbounded means primal infeasible. Declaring it here is
-			// safe only when the certificate is exact: the bound violation
-			// clears the decision guard and every admissible-direction
-			// coefficient in the leaving row is exactly zero (common — these
-			// models pivot on small dyadic rationals). The caller prunes the
-			// node either way, so the search stays bit-identical to cold. A
-			// nonzero sub-tolerance coefficient or a knife-edge violation
-			// could classify differently under Big-M; those fall back cold.
-			if worst > 1e-6 {
-				exact := true
-				for j := 0; j < ncols && exact; j++ {
-					if st.inBasis[j] || st.colLo[j] == st.colHi[j] {
-						continue
-					}
-					c := tr[j]
-					if c == 0 || c <= -tol || c >= tol {
-						continue
-					}
-					if !st.atUpper[j] {
-						if (below && c < 0) || (!below && c > 0) {
-							exact = false
-						}
-					} else if (below && c > 0) || (!below && c < 0) {
-						exact = false
-					}
-				}
-				if exact {
-					scr.free(st)
-					return lpResult{status: lpInfeasible, iters: iter}, nil, true
-				}
-			}
-			scr.free(st)
-			return lpResult{}, nil, false
-		}
-		delta := (st.xB[leave] - beta) / tr[enter]
-		newVal := st.nbVal(enter) + delta
-		for i := 0; i < rows; i++ {
-			if i != leave {
-				st.xB[i] -= st.t[i][enter] * delta
-			}
-		}
-		st.inBasis[b] = false
-		st.atUpper[b] = !below
-		st.basis[leave] = enter
-		st.inBasis[enter] = true
-		st.xB[leave] = newVal
-		st.pivot(leave, enter)
-	}
-
-	status, iters := st.primal(ctx, deadline, iter)
-	if status != lpOptimal {
-		// A warm start must never degrade the search: retry cold.
-		scr.free(st)
-		return lpResult{}, nil, false
-	}
-	// Vertex-uniqueness certificate: a zero reduced cost on any movable
-	// nonbasic column means alternative optima exist, and the cold solve's
-	// tie-breaking could land on a different one — which would steer
-	// branching differently and break bit-identity with cold search. Only a
-	// certified-unique optimum is safe to hand back.
-	for j := 0; j < ncols; j++ {
-		if st.inBasis[j] || st.colLo[j] == st.colHi[j] {
-			continue
-		}
-		if r := st.objRow[j]; r > -uniqueTol && r < uniqueTol {
-			scr.free(st)
-			return lpResult{}, nil, false
-		}
-	}
-	res := st.extract(m, iters)
-	if res.status != lpOptimal {
-		// Extraction can only reject via artificials, which the warm path
-		// has none of; keep the guard anyway.
-		scr.free(st)
-		return lpResult{}, nil, false
-	}
-	return res, st, true
 }

@@ -17,7 +17,6 @@ const (
 	CounterBuildArenaPoolGets  = "build.arena.pool.gets"
 	CounterBuildArenaPoolFresh = "build.arena.pool.fresh"
 	CounterKernelPairsEager    = "kernel.pairs.eager"
-	CounterKernelPairsLazy     = "kernel.pairs.lazy"
 
 	// Primal-dual selection (internal/pd).
 	CounterPDIterations     = "pd.iterations"
@@ -37,16 +36,19 @@ const (
 	CounterILPBBPruned     = "ilp.bb.pruned"
 	CounterILPSimplexIters = "ilp.simplex.iterations"
 	CounterILPLazyActive   = "ilp.lazy.activated"
+	// CounterILPLPWarm is no longer emitted: every LP relaxation solves
+	// from the all-slack basis and counts under CounterILPLPCold. The name
+	// stays registered for readers that still compute a warm fraction.
 	CounterILPLPWarm       = "ilp.lp.warm"
 	CounterILPLPCold       = "ilp.lp.cold"
 	CounterILPScratchGets  = "ilp.scratch.gets"
 	CounterILPScratchFresh = "ilp.scratch.fresh"
 
 	// Hierarchical selection (internal/hier).
-	CounterHierTilesSolved   = "hier.tiles.solved"
-	CounterHierTilesTimedOut = "hier.tiles.timedout"
-	CounterHierGreedyRouted  = "hier.greedy.routed"
-	CounterHierUsagePoolGets = "hier.usage.pool.gets"
+	CounterHierTilesSolved    = "hier.tiles.solved"
+	CounterHierTilesTimedOut  = "hier.tiles.timedout"
+	CounterHierGreedyRouted   = "hier.greedy.routed"
+	CounterHierUsagePoolGets  = "hier.usage.pool.gets"
 	CounterHierUsagePoolFresh = "hier.usage.pool.fresh"
 
 	// Post-optimization (internal/postopt).
@@ -100,7 +102,7 @@ var knownCounters = func() map[string]struct{} {
 	names := []string{
 		CounterBuildObjects, CounterBuildCandidates,
 		CounterBuildArenaPoolGets, CounterBuildArenaPoolFresh,
-		CounterKernelPairsEager, CounterKernelPairsLazy,
+		CounterKernelPairsEager,
 		CounterPDIterations, CounterPDRouted,
 		CounterPDPruneChecked, CounterPDPruneSurvivors,
 		CounterPDUsagePoolGets, CounterPDUsagePoolFresh,

@@ -1,15 +1,12 @@
 // Pair-cost kernel: the regularity ratios entering c(i,j,p,q) depend only
 // on the 2-D topology pair behind the two candidates, so they are stored
 // as flattened, immutable per-pair tables instead of the per-lookup hashed
-// map the solvers previously shared. Tables for normally-sized objects are
-// filled once at build time (in parallel); oversized pairs keep a
-// sync.Once-guarded lazy path so huge groups neither stall the build nor
-// race when concurrent solver legs touch them first.
+// map the solvers previously shared. Every partnered pair's table is
+// filled once at build time, in parallel.
 package route
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/geom"
 	"repro/internal/obs"
@@ -23,13 +20,12 @@ type pairKey struct{ lo, hi int }
 // is the backbone regularity ratio between 2-D topology ti of object lo and
 // 2-D topology tq of object hi.
 type pairTab struct {
-	once sync.Once
-	tab  []float64
+	tab []float64
 }
 
 // kernel is the precomputed pair-cost state of a problem. After Build it is
-// only ever read (or lazily filled behind each table's sync.Once), so the
-// solvers may call PairCost from any number of goroutines.
+// only ever read, so the solvers may call PairCost from any number of
+// goroutines.
 type kernel struct {
 	// nTopo[i] is 1 + the largest TopoIdx among object i's candidates
 	// (0 when the object has none).
@@ -42,8 +38,8 @@ type kernel struct {
 }
 
 // buildKernel indexes every object's 2-D topologies and precomputes the
-// ratio tables of all partnered pairs up to the lazy-threshold, fanning the
-// table fills out across the build workers.
+// ratio tables of all partnered pairs, fanning the table fills out across
+// the build workers.
 func (p *Problem) buildKernel(ctx context.Context, workers int) error {
 	n := len(p.Objects)
 	p.kern.nTopo = make([]int, n)
@@ -66,7 +62,7 @@ func (p *Problem) buildKernel(ctx context.Context, workers int) error {
 	}
 
 	p.kern.pairs = make(map[pairKey]*pairTab)
-	var eager []pairKey
+	var keys []pairKey
 	for i := 0; i < n; i++ {
 		for _, q := range p.Partners(i) {
 			if q <= i {
@@ -77,37 +73,26 @@ func (p *Problem) buildKernel(ctx context.Context, workers int) error {
 				continue
 			}
 			p.kern.pairs[k] = &pairTab{}
-			if p.kern.nTopo[i]*p.kern.nTopo[q] <= p.Opt.LazyKernelCells {
-				eager = append(eager, k)
-			}
+			keys = append(keys, k)
 		}
 	}
 	if rec := obs.FromContext(ctx); rec != nil {
-		rec.Add(obs.CounterKernelPairsEager, int64(len(eager)))
-		rec.Add(obs.CounterKernelPairsLazy, int64(len(p.kern.pairs)-len(eager)))
+		rec.Add(obs.CounterKernelPairsEager, int64(len(keys)))
 	}
-	return parallelFor(ctx, workers, len(eager), func(x int) {
-		p.fillPair(eager[x])
-	})
-}
-
-// fillPair computes (at most once) and returns the ratio table of a pair.
-func (p *Problem) fillPair(k pairKey) *pairTab {
-	t := p.kern.pairs[k]
-	t.once.Do(func() {
-		t.tab = topo.RatioTable(
+	return parallelFor(ctx, workers, len(keys), func(x int) {
+		k := keys[x]
+		p.kern.pairs[k].tab = topo.RatioTable(
 			p.kern.backbones[k.lo], p.RepBit(k.lo),
 			p.kern.backbones[k.hi], p.RepBit(k.hi),
 		)
 	})
-	return t
 }
 
 // pairRatio returns the regularity ratio between 2-D topology ti of object
 // i and tq of object q (same group, i != q): two array indexings for
-// precomputed pairs, a one-time lazy fill for oversized ones, and a direct
-// computation for pairs outside the Partners neighborhood (which the
-// solvers never price, but direct callers may probe).
+// partnered pairs, and a direct computation for pairs outside the Partners
+// neighborhood (which the solvers never price, but direct callers may
+// probe).
 func (p *Problem) pairRatio(i, ti, q, tq int) float64 {
 	if q < i {
 		i, ti, q, tq = q, tq, i, ti
@@ -119,5 +104,5 @@ func (p *Problem) pairRatio(i, ti, q, tq int) float64 {
 			*p.kern.backbones[q][tq], p.RepBit(q),
 		)
 	}
-	return p.fillPair(pairKey{i, q}).tab[ti*p.kern.nTopo[q]+tq]
+	return t.tab[ti*p.kern.nTopo[q]+tq]
 }

@@ -82,36 +82,6 @@ func TestPairCostMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestLazyKernelMatchesEager forces every pair table onto the lazy path
-// and asserts the costs match the eagerly precomputed kernel.
-func TestLazyKernelMatchesEager(t *testing.T) {
-	d := benchgen.Scale(benchgen.Industry(5), 0.06).Generate()
-	eager, err := Build(d, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := Build(d, Options{LazyKernelCells: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range lazy.kern.pairs {
-		if pt.tab != nil {
-			t.Fatal("lazy kernel filled a table at build time")
-		}
-	}
-	for i := range eager.Cands {
-		for _, q := range eager.Partners(i) {
-			for j := range eager.Cands[i] {
-				for r := range eager.Cands[q] {
-					if e, l := eager.PairCost(i, j, q, r), lazy.PairCost(i, j, q, r); e != l {
-						t.Fatalf("PairCost(%d,%d,%d,%d): eager %v, lazy %v", i, j, q, r, e, l)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestBuildCtxCanceled asserts a canceled context aborts the build.
 func TestBuildCtxCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())

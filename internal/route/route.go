@@ -47,11 +47,6 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 forces a sequential build. Results are
 	// bit-identical for every worker count.
 	Workers int
-	// LazyKernelCells is the per-pair table size (in cells) above which
-	// the pair-cost kernel defers the ratio computation to first use
-	// instead of filling it at build time. Default 4096; set negative to
-	// make every table lazy.
-	LazyKernelCells int
 }
 
 func (o Options) withDefaults() Options {
@@ -72,9 +67,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PairNeighbors == 0 {
 		o.PairNeighbors = 4
-	}
-	if o.LazyKernelCells == 0 {
-		o.LazyKernelCells = 4096
 	}
 	return o
 }

@@ -120,12 +120,12 @@ func pointLess(a, b geom.Point) bool {
 }
 
 // optionsFingerprint folds every option that can change the solved result
-// into one value. Deliberately excluded: Route.Workers, HierWorkers and
-// Route.LazyKernelCells (results are bit-identical for any value by
-// contract), and Audit (the audit annotates a result, it never changes
-// it — the cache attaches or strips reports per request). Options carrying
-// a custom Fallback.Chain never reach the fingerprint: Solve bypasses the
-// cache for them, because function values cannot be content-addressed.
+// into one value. Deliberately excluded: Route.Workers and HierWorkers
+// (results are bit-identical for any worker count by contract), and Audit
+// (the audit annotates a result, it never changes it — the cache attaches
+// or strips reports per request). Options carrying a custom Fallback.Chain
+// never reach the fingerprint: Solve bypasses the cache for them, because
+// function values cannot be content-addressed.
 func optionsFingerprint(opt core.Options) uint64 {
 	h := fnv.New64a()
 	r, p, t := opt.Route, opt.Post, opt.Route.Topo

@@ -109,7 +109,6 @@ func TestKeyCanonicalization(t *testing.T) {
 		o := opt
 		o.Route.Workers = 7
 		o.HierWorkers = 3
-		o.Route.LazyKernelCells = -1
 		if KeyFor(keyDesign(), o) != base {
 			t.Fatal("parallelism knobs changed the key despite bit-identical results")
 		}

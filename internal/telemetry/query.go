@@ -278,8 +278,8 @@ func drift(reports []Record) []DriftPoint {
 
 // TrajectoryPoint is one commit's value of one benchmark metric.
 type TrajectoryPoint struct {
-	TimeMS int64  `json:"t_ms"`
-	Commit string `json:"commit,omitempty"`
+	TimeMS int64   `json:"t_ms"`
+	Commit string  `json:"commit,omitempty"`
 	Value  float64 `json:"value"`
 }
 
