@@ -7,7 +7,9 @@ package streak
 // code. Any representation change (SoA candidate edge lists, bitset
 // capacity kernels, pooled scratch, warm-started B&B simplex) that alters a
 // single routed segment, layer choice, cost bit, or audit verdict fails
-// these tests.
+// these tests. The "-search" keys pin the shape of the exact and hier
+// branch-and-bound searches (nodes, LP solves, simplex iterations), so a
+// simplex kernel change that alters a single pivot decision fails too.
 //
 // Regenerate (prints the golden map literal; only do this to extend
 // coverage, never to paper over a diff):
@@ -19,6 +21,7 @@ package streak
 // optimality in seconds, so those combinations are excluded by design.
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -31,6 +34,7 @@ import (
 	"repro/internal/benchgen"
 	"repro/internal/exact"
 	"repro/internal/hier"
+	"repro/internal/obs"
 	"repro/internal/pd"
 	"repro/internal/route"
 	"repro/internal/topo"
@@ -41,24 +45,31 @@ import (
 const equivScale = benchScale
 
 // goldenFingerprints pins the seed (pre-refactor) outcomes. Keys are
-// "<preset>/<flow>"; values come from STREAK_WRITE_GOLDEN output.
+// "<preset>/<flow>"; values come from STREAK_WRITE_GOLDEN output. The
+// "-search" values were captured on the dense simplex kernel, before it
+// became sparse.
 var goldenFingerprints = map[string]string{
-	"Industry1/exact":    "obj=40aafa0000000000 geo=f7cbdd56017d9729 audit=ok",
-	"Industry1/hier":     "obj=40ab0a0000000000 geo=2ebb8257164164bb audit=ok",
-	"Industry1/hier-par": "obj=40bd2d0000000000 geo=e4eeef50cb7c412b audit=ok",
-	"Industry1/pd":       "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
-	"Industry1/problem":  "objs=17 cands=204 hash=c861cc3cc586596c",
-	"Industry3/exact":    "obj=40ae7e0000000000 geo=a1398d324a896618 audit=ok",
-	"Industry3/hier":     "obj=40ae960000000000 geo=36fff32a83cb3856 audit=ok",
-	"Industry3/hier-par": "obj=40c3638000000000 geo=f4c962c2bfc711da audit=ok",
-	"Industry3/pd":       "obj=40ae7e0000000000 geo=838f4f2e86584878 audit=ok",
-	"Industry3/problem":  "objs=20 cands=240 hash=eeff75d37d32d31d",
-	"Industry5/pd":       "obj=40d22a36db6db6db geo=730b109c398530fa audit=ok",
-	"Industry5/problem":  "objs=61 cands=732 hash=977c4f614345df7e",
-	"Industry7/hier":     "obj=40b6aa0000000000 geo=c5f7b0c150333057 audit=ok",
-	"Industry7/hier-par": "obj=40b6aa0000000000 geo=c5f7b0c150333057 audit=ok",
-	"Industry7/pd":       "obj=40b6aa0000000000 geo=cf161fbcdf049ddf audit=ok",
-	"Industry7/problem":  "objs=15 cands=180 hash=440e06d4ce441187",
+	"Industry1/exact":        "obj=40aafa0000000000 geo=f7cbdd56017d9729 audit=ok",
+	"Industry1/exact-search": "nodes=131 lps=311 iters=82739",
+	"Industry1/hier":         "obj=40ab0a0000000000 geo=2ebb8257164164bb audit=ok",
+	"Industry1/hier-par":     "obj=40bd2d0000000000 geo=e4eeef50cb7c412b audit=ok",
+	"Industry1/hier-search":  "nodes=30 lps=134 iters=8840",
+	"Industry1/pd":           "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
+	"Industry1/problem":      "objs=17 cands=204 hash=c861cc3cc586596c",
+	"Industry3/exact":        "obj=40ae7e0000000000 geo=a1398d324a896618 audit=ok",
+	"Industry3/exact-search": "nodes=92 lps=347 iters=129464",
+	"Industry3/hier":         "obj=40ae960000000000 geo=36fff32a83cb3856 audit=ok",
+	"Industry3/hier-par":     "obj=40c3638000000000 geo=f4c962c2bfc711da audit=ok",
+	"Industry3/hier-search":  "nodes=43 lps=185 iters=16175",
+	"Industry3/pd":           "obj=40ae7e0000000000 geo=838f4f2e86584878 audit=ok",
+	"Industry3/problem":      "objs=20 cands=240 hash=eeff75d37d32d31d",
+	"Industry5/pd":           "obj=40d22a36db6db6db geo=730b109c398530fa audit=ok",
+	"Industry5/problem":      "objs=61 cands=732 hash=977c4f614345df7e",
+	"Industry7/hier":         "obj=40b6aa0000000000 geo=c5f7b0c150333057 audit=ok",
+	"Industry7/hier-par":     "obj=40b6aa0000000000 geo=c5f7b0c150333057 audit=ok",
+	"Industry7/hier-search":  "nodes=43 lps=189 iters=7249",
+	"Industry7/pd":           "obj=40b6aa0000000000 geo=cf161fbcdf049ddf audit=ok",
+	"Industry7/problem":      "objs=15 cands=180 hash=440e06d4ce441187",
 }
 
 // candUsageTriples returns a candidate's per-edge usage as sorted
@@ -129,6 +140,14 @@ func fpSolve(p *route.Problem, obj float64, a route.Assignment) string {
 	return fmt.Sprintf("obj=%016x geo=%016x audit=%s", math.Float64bits(obj), h.Sum64(), verdict)
 }
 
+// fpSearch digests the branch-and-bound search shape a solve left on its
+// recorder: nodes explored, LP relaxations solved and simplex iterations.
+func fpSearch(rec *obs.Recorder) string {
+	return fmt.Sprintf("nodes=%d lps=%d iters=%d",
+		rec.Counter(obs.CounterILPBBNodes), rec.Counter(obs.CounterILPLPCold),
+		rec.Counter(obs.CounterILPSimplexIters))
+}
+
 // equivPresets lists the Industry presets with the flows that are
 // deterministic at equivScale (see the package comment for exclusions).
 var equivPresets = []struct {
@@ -160,11 +179,16 @@ func computeFingerprints(t *testing.T, workers int) map[string]string {
 		got[name+"/pd"] = fpSolve(p, res.Objective, res.Assignment)
 
 		if pr.hier {
-			hs := hier.Solve(p, hier.Options{Tiles: 2})
+			rec := obs.NewRecorder()
+			hs, err := hier.SolveCtx(obs.WithRecorder(context.Background(), rec), p, hier.Options{Tiles: 2})
+			if err != nil {
+				t.Fatalf("%s: hier: %v", name, err)
+			}
 			if hs.TilesTimedOut > 0 {
 				t.Fatalf("%s: hier tile timed out; preset is not golden-safe", name)
 			}
 			got[name+"/hier"] = fpSolve(p, hs.Objective, hs.Assignment)
+			got[name+"/hier-search"] = fpSearch(rec)
 			hp := hier.Solve(p, hier.Options{Tiles: 2, Workers: 4})
 			if hp.TilesTimedOut > 0 {
 				t.Fatalf("%s: parallel hier tile timed out; preset is not golden-safe", name)
@@ -172,7 +196,8 @@ func computeFingerprints(t *testing.T, workers int) map[string]string {
 			got[name+"/hier-par"] = fpSolve(p, hp.Objective, hp.Assignment)
 		}
 		if pr.exact {
-			es, err := exact.Solve(p, exact.Options{})
+			rec := obs.NewRecorder()
+			es, err := exact.SolveCtx(obs.WithRecorder(context.Background(), rec), p, exact.Options{})
 			if err != nil {
 				t.Fatalf("%s: exact: %v", name, err)
 			}
@@ -180,6 +205,7 @@ func computeFingerprints(t *testing.T, workers int) map[string]string {
 				t.Fatalf("%s: exact timed out; preset is not golden-safe", name)
 			}
 			got[name+"/exact"] = fpSolve(p, es.Objective, es.Assignment)
+			got[name+"/exact-search"] = fpSearch(rec)
 		}
 	}
 	return got

@@ -15,7 +15,6 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/obs"
 	"repro/internal/route"
-	"repro/internal/topo"
 )
 
 // Options tunes the exact solve.
@@ -158,47 +157,21 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 	}
 
 	// Constraint (3c): per-edge capacities, but only for edges that could
-	// actually overflow (sum of each object's maximum possible usage
-	// exceeds capacity) — other rows can never bind.
-	type edgeAgg struct {
-		terms  []ilp.Term
-		maxSum int
+	// actually overflow — other rows can never bind.
+	all := make([]int, len(p.Objects))
+	for i := range all {
+		all[i] = i
 	}
-	edges := make(map[topo.EdgeKey]*edgeAgg)
-	var edgeOrder []topo.EdgeKey // deterministic first-touch row order
-	perObjMax := make(map[topo.EdgeKey]int)
-	for i := range p.Cands {
-		for k := range perObjMax {
-			delete(perObjMax, k)
-		}
-		for j := range p.Cands[i] {
-			for _, eu := range p.Cands[i][j].Edges {
-				k := topo.EdgeKey{Layer: int(eu.Layer), Idx: int(eu.Idx)}
-				n := int(eu.N)
-				if n > perObjMax[k] {
-					perObjMax[k] = n
-				}
-				e := edges[k]
-				if e == nil {
-					e = &edgeAgg{}
-					edges[k] = e
-					edgeOrder = append(edgeOrder, k)
-				}
-				e.terms = append(e.terms, ilp.Term{Var: xIdx[i][j], Coef: float64(n)})
-			}
-		}
-		for k, mx := range perObjMax {
-			edges[k].maxSum += mx
-		}
+	capOf := func(l, idx int) int {
+		x, y := p.Grid.EdgeCell(l, idx)
+		return p.Grid.Cap(l, x, y)
 	}
-	for _, k := range edgeOrder {
-		e := edges[k]
-		x, y := p.Grid.EdgeCell(k.Layer, k.Idx)
-		cap := p.Grid.Cap(k.Layer, x, y)
-		if e.maxSum <= cap {
-			continue
+	for _, row := range p.CapacityRows(all, capOf) {
+		terms := make([]ilp.Term, len(row.Uses))
+		for k, u := range row.Uses {
+			terms[k] = ilp.Term{Var: xIdx[u.Obj][u.Cand], Coef: float64(u.N)}
 		}
-		m.AddLazyConstraint(e.terms, float64(cap))
+		m.AddLazyConstraint(terms, float64(row.Limit))
 	}
 
 	// Product linearization: y >= x_ij + x_qr - 1, activated lazily (a

@@ -1,11 +1,18 @@
-package exact
+package exact_test
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/exact"
 	"repro/internal/geom"
+	"repro/internal/hier"
+	"repro/internal/ilp"
+	"repro/internal/obs"
 	"repro/internal/pd"
 	"repro/internal/route"
 	"repro/internal/signal"
@@ -57,7 +64,7 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(p, Options{})
+	res, err := exact.Solve(p, exact.Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -80,7 +87,7 @@ func TestSolveMatchesBruteForceUnderTightCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(p, Options{})
+	res, err := exact.Solve(p, exact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +106,7 @@ func TestSolveAtLeastAsGoodAsPrimalDual(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdRes := pd.Solve(p)
-	ilpRes, err := Solve(p, Options{WarmStart: &pdRes.Assignment})
+	ilpRes, err := exact.Solve(p, exact.Options{WarmStart: &pdRes.Assignment})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +136,7 @@ func TestSolveTimeLimitReportsTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Solve(p, Options{TimeLimit: time.Nanosecond})
+	res, err := exact.Solve(p, exact.Options{TimeLimit: time.Nanosecond})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -148,7 +155,7 @@ func TestSolveMaxVarsGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Solve(p, Options{MaxVars: 1}); err == nil {
+	if _, err := exact.Solve(p, exact.Options{MaxVars: 1}); err == nil {
 		t.Fatal("MaxVars guard did not trigger")
 	}
 }
@@ -159,15 +166,101 @@ func TestWarmStartSpeedsOrEqualsCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	pdRes := pd.Solve(p)
-	warm, err := Solve(p, Options{WarmStart: &pdRes.Assignment})
+	warm, err := exact.Solve(p, exact.Options{WarmStart: &pdRes.Assignment})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Solve(p, Options{})
+	cold, err := exact.Solve(p, exact.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(warm.Objective-cold.Objective) > 1e-6 {
 		t.Fatalf("warm %v != cold %v", warm.Objective, cold.Objective)
+	}
+}
+
+// oracleDesign draws a small random design for the enumeration oracle: at
+// most six two- or three-pin bits in one to three groups on a 10x10 grid
+// with edge capacity 1 or 2. Bits of one group rarely share a similarity
+// signature, so most groups split into several objects with pair terms
+// (product rows), and the low capacity makes candidates collide (capacity
+// rows). Branching that fixes both candidates of a costed pair on starts
+// their product row infeasible, which the simplex covers with a Big-M
+// artificial.
+func oracleDesign(seed int64) *signal.Design {
+	rng := rand.New(rand.NewSource(seed))
+	d := &signal.Design{
+		Name: fmt.Sprintf("oracle-%d", seed),
+		Grid: signal.GridSpec{W: 10, H: 10, NumLayers: 4, EdgeCap: 1 + rng.Intn(2)},
+	}
+	for bits := 2 + rng.Intn(5); bits > 0; {
+		var g signal.Group
+		for n := min(bits, 1+rng.Intn(3)); n > 0; n-- {
+			var b signal.Bit
+			seen := make(map[geom.Point]bool)
+			for pins := 2 + rng.Intn(4)/3; len(b.Pins) < pins; {
+				pt := geom.Pt(rng.Intn(d.Grid.W), rng.Intn(d.Grid.H))
+				if !seen[pt] {
+					seen[pt] = true
+					b.Pins = append(b.Pins, signal.Pin{Loc: pt})
+				}
+			}
+			g.Bits = append(g.Bits, b)
+			bits--
+		}
+		d.Groups = append(d.Groups, g)
+	}
+	return d
+}
+
+// TestSweepMatchesEnumeration is the tiny-instance oracle: on seeded random
+// designs the exact solve must reach the enumerated optimum, and the
+// hierarchical and primal-dual flows must stay legal and no better than it.
+func TestSweepMatchesEnumeration(t *testing.T) {
+	trials := 300
+	if testing.Short() {
+		trials = 40
+	}
+	lazyActive := 0
+	for trial := 0; trial < trials; trial++ {
+		p, err := route.Build(oracleDesign(int64(trial)), route.Options{MaxCandidates: 3})
+		if err != nil {
+			t.Fatalf("trial %d: build: %v", trial, err)
+		}
+		want := bruteForce(p)
+
+		rec := obs.NewRecorder()
+		es, err := exact.SolveCtx(obs.WithRecorder(context.Background(), rec), p, exact.Options{})
+		if err != nil {
+			t.Fatalf("trial %d: exact: %v", trial, err)
+		}
+		if es.Status != ilp.Optimal || math.Abs(es.Objective-want) > 1e-6 {
+			t.Fatalf("trial %d: exact objective %v (status %v), want %v", trial, es.Objective, es.Status, want)
+		}
+		if err := p.Legal(es.Assignment); err != nil {
+			t.Fatalf("trial %d: exact assignment illegal: %v", trial, err)
+		}
+		if rec.Counter(obs.CounterILPLazyActive) > 0 {
+			lazyActive++
+		}
+
+		hs := hier.Solve(p, hier.Options{})
+		if err := p.Legal(hs.Assignment); err != nil {
+			t.Fatalf("trial %d: hier assignment illegal: %v", trial, err)
+		}
+		if hs.Objective < want-1e-6 {
+			t.Fatalf("trial %d: hier objective %v beats the optimum %v", trial, hs.Objective, want)
+		}
+
+		ps := pd.Solve(p)
+		if err := p.Legal(ps.Assignment); err != nil {
+			t.Fatalf("trial %d: pd assignment illegal: %v", trial, err)
+		}
+		if ps.Objective < want-1e-6 {
+			t.Fatalf("trial %d: pd objective %v beats the optimum %v", trial, ps.Objective, want)
+		}
+	}
+	if lazyActive == 0 {
+		t.Fatal("no trial activated a lazy capacity or product row")
 	}
 }

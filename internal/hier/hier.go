@@ -22,7 +22,6 @@ import (
 	"repro/internal/ilp"
 	"repro/internal/obs"
 	"repro/internal/route"
-	"repro/internal/topo"
 )
 
 // Options tunes the hierarchical solve.
@@ -389,22 +388,15 @@ func planTile(ctx context.Context, p *route.Problem, objs []int, u *grid.Usage, 
 			m.AddSOS(sos)
 		}
 	}
-	// Residual capacity rows (lazy) over edges touched by tile candidates,
-	// added in deterministic first-touch order.
-	edgeTerms := make(map[topo.EdgeKey][]ilp.Term)
-	var edgeOrder []topo.EdgeKey
-	for vi, r := range vars {
-		for _, e := range p.Cands[r.i][r.j].Edges {
-			k := topo.EdgeKey{Layer: int(e.Layer), Idx: int(e.Idx)}
-			if _, seen := edgeTerms[k]; !seen {
-				edgeOrder = append(edgeOrder, k)
-			}
-			edgeTerms[k] = append(edgeTerms[k], ilp.Term{Var: vi, Coef: float64(e.N)})
+	// Residual capacity rows (lazy), only over edges where the tile's largest
+	// possible demand exceeds the residual capacity: no other row can ever
+	// be violated.
+	for _, row := range p.CapacityRows(objs, u.Avail) {
+		terms := make([]ilp.Term, len(row.Uses))
+		for k, cu := range row.Uses {
+			terms[k] = ilp.Term{Var: varOf[ref{cu.Obj, cu.Cand}], Coef: float64(cu.N)}
 		}
-	}
-	for _, k := range edgeOrder {
-		avail := u.Avail(k.Layer, k.Idx)
-		m.AddLazyConstraint(edgeTerms[k], float64(avail))
+		m.AddLazyConstraint(terms, float64(row.Limit))
 	}
 
 	res := ilp.Solve(m, ilp.SolveOptions{Ctx: ctx, TimeLimit: opt.TimePerTile})

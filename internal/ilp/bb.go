@@ -235,7 +235,7 @@ func Solve(m *Model, opt SolveOptions) Result {
 			// unless a still-inactive lazy row rejects it — then activate
 			// and revisit the node (possible only when the per-node
 			// activation round cap was hit).
-			x := append([]float64(nil), res.x...)
+			x := append(make([]float64, 0, len(res.x)), res.x...) // non-nil when n = 0
 			for i := range x {
 				if m.integer[i] {
 					x[i] = math.Round(x[i])

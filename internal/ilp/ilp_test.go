@@ -114,6 +114,42 @@ func TestSolveInfeasibleILP(t *testing.T) {
 	}
 }
 
+// TestSolveNoVariables checks models without variables: every row reads
+// 0 <= rhs, so the model is optimal at objective 0 exactly when no row, eager
+// or lazy, has a negative right-hand side.
+func TestSolveNoVariables(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rhs  []float64
+		lazy bool
+		want Status
+	}{
+		{"no rows", nil, false, Optimal},
+		{"nonnegative rhs", []float64{0, 2}, false, Optimal},
+		{"nonnegative lazy rhs", []float64{0, 2}, true, Optimal},
+		{"negative rhs", []float64{1, -1}, false, Infeasible},
+		{"negative lazy rhs", []float64{1, -1}, true, Infeasible},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewModel(0)
+			for _, rhs := range tc.rhs {
+				if tc.lazy {
+					m.AddLazyConstraint(nil, rhs)
+				} else {
+					m.AddConstraint(nil, rhs)
+				}
+			}
+			res := Solve(m, SolveOptions{})
+			if res.Status != tc.want {
+				t.Fatalf("status = %v, want %v", res.Status, tc.want)
+			}
+			if tc.want == Optimal && (res.Obj != 0 || res.X == nil || len(res.X) != 0) {
+				t.Fatalf("optimal result obj=%v x=%v, want obj 0 and an empty x", res.Obj, res.X)
+			}
+		})
+	}
+}
+
 // bruteForce enumerates every binary assignment and returns the best
 // feasible objective. The walk is in Gray-code order, so each step flips
 // one binary and updates only the rows it appears in. Continuous variables

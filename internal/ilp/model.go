@@ -13,8 +13,10 @@
 package ilp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Term is one coefficient of a linear constraint.
@@ -76,24 +78,28 @@ func (m *Model) AddSOS(vars []int) {
 	m.sos = append(m.sos, append([]int(nil), vars...))
 }
 
-// AddConstraint appends the constraint sum(terms) <= rhs. Duplicate
-// variables within one constraint are summed. It panics on out-of-range
+// AddConstraint appends the constraint sum(terms) <= rhs. The row keeps its
+// terms in ascending variable order: duplicate variables within one
+// constraint are summed and zero sums dropped. It panics on out-of-range
 // variable indices — always a caller bug.
 func (m *Model) AddConstraint(terms []Term, rhs float64) {
-	merged := make(map[int]float64, len(terms))
 	for _, t := range terms {
 		if t.Var < 0 || t.Var >= len(m.obj) {
 			panic(fmt.Sprintf("ilp: variable %d out of range", t.Var))
 		}
-		merged[t.Var] += t.Coef
 	}
-	out := make([]Term, 0, len(merged))
-	for _, t := range terms {
-		if c, ok := merged[t.Var]; ok && c != 0 {
-			out = append(out, Term{t.Var, c})
-			delete(merged, t.Var)
+	out := slices.Clone(terms)
+	slices.SortStableFunc(out, func(a, b Term) int { return cmp.Compare(a.Var, b.Var) })
+	k := 0
+	for _, t := range out {
+		if k > 0 && out[k-1].Var == t.Var {
+			out[k-1].Coef += t.Coef
+			continue
 		}
+		out[k] = t
+		k++
 	}
+	out = slices.DeleteFunc(out[:k], func(t Term) bool { return t.Coef == 0 })
 	m.cons = append(m.cons, constraint{terms: out, rhs: rhs})
 }
 

@@ -28,17 +28,19 @@ type lpResult struct {
 }
 
 // lpState is one simplex tableau with its basis bookkeeping, built from
-// the all-slack basis. All storage comes from an lpScratch freelist so
-// steady-state branch-and-bound allocates (almost) nothing per node.
+// the all-slack basis. The tableau rows are stored dense, but every loop
+// over them touches only entries that can be nonzero (see pivot).
 type lpState struct {
-	n, rows, ncols int
-	t              [][]float64
-	basis          []int
-	xB             []float64
-	atUpper        []bool
-	inBasis        []bool
-	colLo, colHi   []float64
-	cost, objRow   []float64
+	n, rows, ncols   int
+	t                [][]float64
+	basis            []int
+	xB               []float64
+	atUpper, inBasis []bool
+	colLo, colHi     []float64
+	cost, objRow     []float64
+	used             []bool // structural columns in an active row (set-up)
+	price            []int  // columns that can ever enter, ascending
+	nz               []int  // nonzero columns of the last pivot row
 }
 
 func (st *lpState) nbVal(j int) float64 {
@@ -48,16 +50,57 @@ func (st *lpState) nbVal(j int) float64 {
 	return st.colLo[j]
 }
 
-// lpScratch recycles tableau rows and bookkeeping vectors across the many
-// LP solves of one branch-and-bound run. Scratches themselves are pooled
-// across runs (with pooled-vs-fresh counters for telemetry), so a serving
-// process reaches near-zero steady-state allocation in the solver.
+// reset sizes the row vectors for a relaxation with n structurals and rows
+// rows; setCols sizes the tableau and the column vectors once the column
+// count is known.
+func (st *lpState) reset(n, rows int) {
+	st.n, st.rows = n, rows
+	st.basis = resize(st.basis, rows)
+	st.xB = resize(st.xB, rows)
+}
+
+// setCols sizes and zeroes the tableau and column vectors for ncols
+// columns.
+func (st *lpState) setCols(ncols int) {
+	st.ncols = ncols
+	st.t = st.t[:cap(st.t)] // rows past the last length keep their storage
+	for len(st.t) < st.rows {
+		st.t = append(st.t, nil)
+	}
+	st.t = st.t[:st.rows]
+	for i := range st.t {
+		st.t[i] = resize(st.t[i], ncols)
+	}
+	st.atUpper = resize(st.atUpper, ncols)
+	st.inBasis = resize(st.inBasis, ncols)
+	st.colLo = resize(st.colLo, ncols)
+	st.colHi = resize(st.colHi, ncols)
+	st.cost = resize(st.cost, ncols)
+	st.objRow = resize(st.objRow, ncols)
+	st.used = resize(st.used, st.n)
+	st.price = st.price[:0]
+}
+
+// resize returns s with length n, every element zeroed, reallocating with
+// headroom only when its capacity falls short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n, n+n/2)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// lpScratch is the storage of the one LP state a branch-and-bound run
+// works on at a time. Every relaxation reuses it, its vectors growing to
+// the largest relaxation seen, so steady-state branch and bound allocates
+// (almost) nothing per node. Scratches themselves are pooled across runs
+// (with pooled-vs-fresh counters for telemetry), so a serving process
+// reaches near-zero steady-state allocation in the solver.
 type lpScratch struct {
-	vecs   [][]float64
-	ints   [][]int
-	bools  [][]bool
-	states []*lpState
-	fresh  bool // true until first reuse; lets callers report pooled-vs-fresh
+	st    lpState
+	fresh bool // true until first reuse; lets callers report pooled-vs-fresh
 }
 
 var (
@@ -82,107 +125,17 @@ func ScratchCounters() (gets, fresh int64) {
 	return scratchGets.Load(), scratchFresh.Load()
 }
 
-func (s *lpScratch) vec(size int) []float64 {
-	for len(s.vecs) > 0 {
-		v := s.vecs[len(s.vecs)-1]
-		s.vecs = s.vecs[:len(s.vecs)-1]
-		if cap(v) >= size {
-			v = v[:size]
-			for i := range v {
-				v[i] = 0
-			}
-			return v
-		}
-	}
-	return make([]float64, size)
-}
-
-func (s *lpScratch) ivec(size int) []int {
-	for len(s.ints) > 0 {
-		v := s.ints[len(s.ints)-1]
-		s.ints = s.ints[:len(s.ints)-1]
-		if cap(v) >= size {
-			v = v[:size]
-			for i := range v {
-				v[i] = 0
-			}
-			return v
-		}
-	}
-	return make([]int, size)
-}
-
-func (s *lpScratch) bvec(size int) []bool {
-	for len(s.bools) > 0 {
-		v := s.bools[len(s.bools)-1]
-		s.bools = s.bools[:len(s.bools)-1]
-		if cap(v) >= size {
-			v = v[:size]
-			for i := range v {
-				v[i] = false
-			}
-			return v
-		}
-	}
-	return make([]bool, size)
-}
-
-// newState hands out a state shell with rows/vectors sized for the solve.
-func (s *lpScratch) newState(n, rows, ncols int) *lpState {
-	var st *lpState
-	if k := len(s.states); k > 0 {
-		st = s.states[k-1]
-		s.states = s.states[:k-1]
-	} else {
-		st = new(lpState)
-	}
-	st.n, st.rows, st.ncols = n, rows, ncols
-	if cap(st.t) >= rows {
-		st.t = st.t[:rows]
-	} else {
-		st.t = make([][]float64, rows)
-	}
-	for i := range st.t {
-		st.t[i] = s.vec(ncols)
-	}
-	st.basis = s.ivec(rows)
-	st.xB = s.vec(rows)
-	st.atUpper = s.bvec(ncols)
-	st.inBasis = s.bvec(ncols)
-	st.colLo = s.vec(ncols)
-	st.colHi = s.vec(ncols)
-	st.cost = s.vec(ncols)
-	st.objRow = s.vec(ncols)
-	return st
-}
-
-// free returns every slice of st to the freelists.
-func (s *lpScratch) free(st *lpState) {
-	if st == nil {
-		return
-	}
-	for i := range st.t {
-		if st.t[i] != nil {
-			s.vecs = append(s.vecs, st.t[i])
-			st.t[i] = nil
-		}
-	}
-	st.t = st.t[:0]
-	s.ints = append(s.ints, st.basis)
-	s.vecs = append(s.vecs, st.xB, st.colLo, st.colHi, st.cost, st.objRow)
-	s.bools = append(s.bools, st.atUpper, st.inBasis)
-	st.basis, st.xB, st.colLo, st.colHi, st.cost, st.objRow = nil, nil, nil, nil, nil, nil
-	st.atUpper, st.inBasis = nil, nil
-	s.states = append(s.states, st)
-}
-
 // solveLP minimizes the model objective over the LP relaxation with the
-// given per-variable bounds, using a bounded-variable primal simplex on a
-// dense tableau drawn from scr and returned to it before solveLP returns.
-// Rows that start infeasible (possible once branching fixes lower bounds to
-// 1) get Big-M artificial variables. A non-zero deadline or a done context
-// aborts long solves with lpIterLimit so the branch-and-bound time limit and
-// cancellation hold even when a single relaxation is expensive.
+// given per-variable bounds, using a bounded-variable primal simplex on the
+// tableau held in scr. Rows that start infeasible (possible once branching
+// fixes lower bounds to 1) get Big-M artificial variables. A non-zero
+// deadline or a done context aborts long solves with lpIterLimit so the
+// branch-and-bound time limit and cancellation hold even when a single
+// relaxation is expensive.
+//
+// Set-up touches only each row's terms: the tableau arrives zeroed, so the
+// starting activity, the negation of an infeasible-start row and the
+// reduced-cost row are all sums over the row's nonzeros.
 func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64, deadline time.Time, scr *lpScratch) lpResult {
 	// Fault seam: an injected error reports this relaxation infeasible (the
 	// node is pruned; at the root the whole solve turns infeasible), a delay
@@ -193,19 +146,56 @@ func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64
 	n := len(m.obj)
 	rows := len(cons)
 	if n == 0 {
-		return lpResult{status: lpOptimal, x: nil, obj: 0}
+		// Without variables every row reads 0 <= rhs.
+		for _, con := range cons {
+			if con.rhs < 0 {
+				return lpResult{status: lpInfeasible}
+			}
+		}
+		return lpResult{status: lpOptimal, x: []float64{}}
+	}
+
+	// Nonbasic structurals start at the bound nearer the objective descent
+	// direction to reduce iterations.
+	startUpper := func(j int) bool {
+		return m.obj[j] < 0 && !math.IsInf(hi[j], 1) && lo[j] != hi[j]
+	}
+
+	// Starting basis: each row's slack at the start point, summed over the
+	// row's terms in ascending column order. A row that starts infeasible
+	// (negative slack) is negated and takes an artificial column instead.
+	st := &scr.st
+	st.reset(n, rows)
+	basis, xB := st.basis, st.xB
+	nart := 0
+	for i, con := range cons {
+		act := 0.0
+		for _, tm := range con.terms {
+			v := lo[tm.Var]
+			if startUpper(tm.Var) {
+				v = hi[tm.Var]
+			}
+			act += tm.Coef * v
+		}
+		if slack := con.rhs - act; slack >= 0 {
+			basis[i], xB[i] = n+i, slack
+		} else {
+			basis[i], xB[i] = n+rows+nart, -slack
+			nart++
+		}
 	}
 
 	// Column layout: [0,n) structural, [n,n+rows) slack, then artificials.
 	// Bounds per column; artificials and slacks are [0, +inf).
-	ncols := n + rows
-	st := scr.newState(n, rows, ncols)
-	colLo := st.colLo
-	colHi := st.colHi
-	copy(colLo, lo)
-	copy(colHi, hi)
+	ncols := n + rows + nart
+	st.setCols(ncols)
+	copy(st.colLo, lo)
+	copy(st.colHi, hi)
 	for j := n; j < ncols; j++ {
-		colHi[j] = inf
+		st.colHi[j] = inf
+	}
+	for j := 0; j < n; j++ {
+		st.atUpper[j] = startUpper(j)
 	}
 
 	// Big-M cost for artificials, scaled to dominate any structural cost.
@@ -214,111 +204,53 @@ func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64
 		bigM += math.Abs(c)
 	}
 	bigM *= 1e4
-
 	cost := st.cost
 	copy(cost, m.obj)
-
-	// Dense tableau rows plus initial basic values.
-	t := st.t
-	basis := st.basis
-	xB := st.xB
-	atUpper := st.atUpper
-	for j := 0; j < n; j++ {
-		// Start nonbasic structurals at the bound nearer the objective
-		// descent direction to reduce iterations.
-		if m.obj[j] < 0 && !math.IsInf(hi[j], 1) {
-			atUpper[j] = true
-		}
-		if lo[j] == hi[j] {
-			atUpper[j] = false
-		}
-	}
-	nbVal := func(j int) float64 {
-		if atUpper[j] {
-			return colHi[j]
-		}
-		return colLo[j]
+	for j := n + rows; j < ncols; j++ {
+		cost[j] = bigM
 	}
 
-	for i, con := range cons {
-		row := t[i]
-		t[i] = nil // mark unfilled for the artificial-extension pass
-		for _, tm := range con.terms {
-			row[tm.Var] += tm.Coef
-		}
-		row[n+i] = 1
-		act := 0.0
-		for j := 0; j < n; j++ {
-			act += row[j] * nbVal(j)
-		}
-		slack := con.rhs - act
-		if slack >= 0 {
-			basis[i] = n + i
-			xB[i] = slack
-			t[i] = row
-			continue
-		}
-		// Infeasible start: negate the row and give it an artificial.
-		for j := range row {
-			row[j] = -row[j]
-		}
-		art := len(colLo)
-		colLo = append(colLo, 0)
-		colHi = append(colHi, inf)
-		cost = append(cost, bigM)
-		atUpper = append(atUpper, false)
-		for k := range t {
-			if t[k] != nil {
-				t[k] = append(t[k], 0)
-			}
-		}
-		for len(row) <= art {
-			row = append(row, 0)
-		}
-		row[art] = 1
-		basis[i] = art
-		xB[i] = -slack
-		t[i] = row
-	}
-	// Rows created before a later artificial column appeared were extended
-	// in the loop; normalize lengths for safety.
-	ncols = len(colLo)
-	for i := range t {
-		for len(t[i]) < ncols {
-			t[i] = append(t[i], 0)
-		}
-	}
-	st.ncols = ncols
-	st.colLo, st.colHi, st.cost, st.atUpper = colLo, colHi, cost, atUpper
-
-	inBasis := st.inBasis
-	for len(inBasis) < ncols {
-		inBasis = append(inBasis, false)
-	}
-	for _, b := range basis {
-		inBasis[b] = true
-	}
-	st.inBasis = inBasis
-
-	// Objective row (reduced costs): d_j = c_j - c_B' T_j, maintained by
-	// pivoting alongside the tableau.
+	// Tableau rows and the reduced-cost row d_j = c_j - c_B' T_j, which
+	// pivoting maintains alongside the tableau. Only artificials carry a
+	// basic cost at the start.
 	objRow := st.objRow
-	for len(objRow) < ncols {
-		objRow = append(objRow, 0)
-	}
 	copy(objRow, cost)
-	for i, b := range basis {
-		cb := cost[b]
-		if cb == 0 {
-			continue
+	for i, con := range cons {
+		row := st.t[i]
+		b := basis[i]
+		sign := 1.0
+		if b != n+i {
+			sign = -1
+			row[b] = 1
 		}
-		for j := 0; j < ncols; j++ {
-			objRow[j] -= cb * t[i][j]
+		for _, tm := range con.terms {
+			row[tm.Var] = sign * tm.Coef
+			st.used[tm.Var] = true
+		}
+		row[n+i] = sign
+		st.inBasis[b] = true
+		if cb := cost[b]; cb != 0 {
+			for _, tm := range con.terms {
+				objRow[tm.Var] -= cb * row[tm.Var]
+			}
+			objRow[n+i] -= cb * row[n+i]
+			objRow[b] -= cb * row[b]
 		}
 	}
-	st.objRow = objRow
 
-	defer scr.free(st)
+	// Pricing list: a structural column in no active row keeps an all-zero
+	// tableau column, so its reduced cost stays its objective coefficient,
+	// which never makes it eligible from its starting bound; a fixed column
+	// never moves. Neither is ever priced.
+	for j := 0; j < n; j++ {
+		if st.used[j] && lo[j] < hi[j] {
+			st.price = append(st.price, j)
+		}
+	}
+	for j := n; j < ncols; j++ {
+		st.price = append(st.price, j)
+	}
+
 	status, iter := st.primal(ctx, deadline)
 	if status != lpOptimal {
 		return lpResult{status: status, iters: iter}
@@ -334,7 +266,7 @@ func (st *lpState) primal(ctx context.Context, deadline time.Time) (lpStatus, in
 	t, basis, xB := st.t, st.basis, st.xB
 	atUpper, inBasis := st.atUpper, st.inBasis
 	colLo, colHi, objRow := st.colLo, st.colHi, st.objRow
-	nbVal := st.nbVal
+	price, nbVal := st.price, st.nbVal
 
 	maxIter := 200 * (rows + ncols + 10)
 	blandAfter := 20 * (rows + ncols + 10)
@@ -354,11 +286,13 @@ func (st *lpState) primal(ctx context.Context, deadline time.Time) (lpStatus, in
 		useBland := iter > blandAfter
 
 		// Entering variable: a nonbasic column whose reduced cost allows
-		// descent from its current bound.
+		// descent from its current bound. Only the pricing list can qualify,
+		// and it is ascending, so Dantzig ties and Bland's first-eligible
+		// pick the same column a full scan would.
 		enter, dir := -1, 0.0
 		bestViol := tol
-		for j := 0; j < ncols; j++ {
-			if inBasis[j] || colLo[j] == colHi[j] {
+		for _, j := range price {
+			if inBasis[j] {
 				continue
 			}
 			var viol float64
@@ -453,31 +387,37 @@ func (st *lpState) primal(ctx context.Context, deadline time.Time) (lpStatus, in
 }
 
 // pivot performs the tableau row reduction making column enter basic in row
-// leave, updating the reduced-cost row alongside.
+// leave, updating the reduced-cost row alongside. It scales the pivot row,
+// records its nonzero columns, and updates the other rows and the
+// reduced-cost row over those columns only: every skipped update subtracts
+// an exact zero.
 func (st *lpState) pivot(leave, enter int) {
-	t, objRow, ncols := st.t, st.objRow, st.ncols
-	piv := t[leave][enter]
+	t, objRow := st.t, st.objRow
 	prow := t[leave]
-	invPiv := 1 / piv
-	for j := 0; j < ncols; j++ {
-		prow[j] *= invPiv
+	invPiv := 1 / prow[enter]
+	nz := st.nz[:0]
+	for j, v := range prow {
+		if v != 0 {
+			prow[j] = v * invPiv
+			nz = append(nz, j)
+		}
 	}
-	for i := range t {
+	st.nz = nz
+	for i, ri := range t {
 		if i == leave {
 			continue
 		}
-		f := t[i][enter]
+		f := ri[enter]
 		if f == 0 {
 			continue
 		}
-		ri := t[i]
-		for j := 0; j < ncols; j++ {
+		for _, j := range nz {
 			ri[j] -= f * prow[j]
 		}
 		ri[enter] = 0 // exact zero against drift
 	}
 	if f := objRow[enter]; f != 0 {
-		for j := 0; j < ncols; j++ {
+		for _, j := range nz {
 			objRow[j] -= f * prow[j]
 		}
 		objRow[enter] = 0

@@ -416,6 +416,85 @@ func (p *Problem) CandidateFits(i, j int, u *grid.Usage) bool {
 	return true
 }
 
+// CandUse is candidate Cand of object Obj needing N tracks on an edge.
+type CandUse struct{ Obj, Cand, N int }
+
+// CapacityRow is one edge's capacity constraint (3c) over a set of
+// objects: the candidates of those objects that use the edge, and the
+// Limit on their total track need.
+type CapacityRow struct {
+	Limit int
+	Uses  []CandUse
+}
+
+// CapacityRows returns the capacity rows over the candidates of objs that
+// can bind. An edge gets a row only when the largest demand objs can place
+// on it — for each object the maximum over its candidates, summed over the
+// objects — exceeds limit(layer, idx): a selection of at most one candidate
+// per object, even a fractional one, never violates any other edge. Rows
+// come in first-touch order (objs, then candidates, then their edges) and
+// list their uses in the same order.
+func (p *Problem) CapacityRows(objs []int, limit func(layer, idx int) int) []CapacityRow {
+	// One map lookup per edge use numbers the edges in first-touch order;
+	// the demand sums each object's maximum as the object raises it.
+	type edgeDemand struct {
+		key           topo.EdgeKey
+		total, objMax int // summed per-object maxima; maximum of object obj
+		obj           int
+		row           int // index into rows, or -1
+	}
+	at := make(map[uint64]int)
+	var edges []edgeDemand
+	for _, i := range objs {
+		for j := range p.Cands[i] {
+			for _, e := range p.Cands[i][j].Edges {
+				id := edgeID(e)
+				x, ok := at[id]
+				if !ok {
+					x = len(edges)
+					at[id] = x
+					edges = append(edges, edgeDemand{key: topo.EdgeKey{Layer: int(e.Layer), Idx: int(e.Idx)}, obj: -1})
+				}
+				d := &edges[x]
+				if d.obj != i {
+					d.obj, d.objMax = i, 0
+				}
+				if n := int(e.N); n > d.objMax {
+					d.total += n - d.objMax
+					d.objMax = n
+				}
+			}
+		}
+	}
+	var rows []CapacityRow
+	for x := range edges {
+		d := &edges[x]
+		d.row = -1
+		if lim := limit(d.key.Layer, d.key.Idx); d.total > lim {
+			d.row = len(rows)
+			rows = append(rows, CapacityRow{Limit: lim})
+		}
+	}
+	if len(rows) == 0 {
+		return nil
+	}
+	for _, i := range objs {
+		for j := range p.Cands[i] {
+			for _, e := range p.Cands[i][j].Edges {
+				if r := edges[at[edgeID(e)]].row; r >= 0 {
+					rows[r].Uses = append(rows[r].Uses, CandUse{Obj: i, Cand: j, N: int(e.N)})
+				}
+			}
+		}
+	}
+	return rows
+}
+
+// edgeID packs an edge's layer and index into one map key.
+func edgeID(e topo.EdgeUse) uint64 {
+	return uint64(uint32(e.Layer))<<32 | uint64(uint32(e.Idx))
+}
+
 // ObjectiveValue evaluates formulation (3a) for the assignment: candidate
 // costs, M per unrouted object, and pair irregularity over same-group
 // partner pairs (each unordered pair counted once).
