@@ -9,7 +9,10 @@ package streak
 // single routed segment, layer choice, cost bit, or audit verdict fails
 // these tests. The "-search" keys pin the shape of the exact and hier
 // branch-and-bound searches (nodes, LP solves, simplex iterations), so a
-// simplex kernel change that alters a single pivot decision fails too.
+// simplex kernel change that alters a single pivot decision fails too. The
+// "/post" keys pin what clustering and refinement make of the primal-dual
+// selection: the post-optimized geometry, Vio(dst) before and after, the
+// refinement stats, WL and Avg(Reg).
 //
 // Regenerate (prints the golden map literal; only do this to extend
 // coverage, never to paper over a diff):
@@ -24,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -32,6 +36,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/benchgen"
+	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/hier"
 	"repro/internal/obs"
@@ -47,7 +52,8 @@ const equivScale = benchScale
 // goldenFingerprints pins the seed (pre-refactor) outcomes. Keys are
 // "<preset>/<flow>"; values come from STREAK_WRITE_GOLDEN output. The
 // "-search" values were captured on the dense simplex kernel, before it
-// became sparse.
+// became sparse; the "/post" values on the map-based tree path lengths,
+// before the pooled tree view replaced them.
 var goldenFingerprints = map[string]string{
 	"Industry1/exact":        "obj=40aafa0000000000 geo=f7cbdd56017d9729 audit=ok",
 	"Industry1/exact-search": "nodes=131 lps=311 iters=82739",
@@ -55,6 +61,7 @@ var goldenFingerprints = map[string]string{
 	"Industry1/hier-par":     "obj=40bd2d0000000000 geo=e4eeef50cb7c412b audit=ok",
 	"Industry1/hier-search":  "nodes=30 lps=134 iters=8840",
 	"Industry1/pd":           "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
+	"Industry1/post":         "geo=5a58fea675bfd2cd vio=0 refine=0/0/0/0/0 viodst=0 wl=40d0874000000000 reg=3ff0000000000000",
 	"Industry1/problem":      "objs=17 cands=204 hash=c861cc3cc586596c",
 	"Industry3/exact":        "obj=40ae7e0000000000 geo=a1398d324a896618 audit=ok",
 	"Industry3/exact-search": "nodes=92 lps=347 iters=129464",
@@ -62,13 +69,16 @@ var goldenFingerprints = map[string]string{
 	"Industry3/hier-par":     "obj=40c3638000000000 geo=f4c962c2bfc711da audit=ok",
 	"Industry3/hier-search":  "nodes=43 lps=185 iters=16175",
 	"Industry3/pd":           "obj=40ae7e0000000000 geo=838f4f2e86584878 audit=ok",
+	"Industry3/post":         "geo=838f4f2e86584878 vio=0 refine=0/0/0/0/0 viodst=0 wl=40d28f4000000000 reg=3ff0000000000000",
 	"Industry3/problem":      "objs=20 cands=240 hash=eeff75d37d32d31d",
 	"Industry5/pd":           "obj=40d22a36db6db6db geo=730b109c398530fa audit=ok",
+	"Industry5/post":         "geo=730b109c398530fa vio=0 refine=0/0/0/0/0 viodst=0 wl=40f5577000000000 reg=3fec226d6d8b43fb",
 	"Industry5/problem":      "objs=61 cands=732 hash=977c4f614345df7e",
 	"Industry7/hier":         "obj=40b6aa0000000000 geo=c5f7b0c150333057 audit=ok",
 	"Industry7/hier-par":     "obj=40b6aa0000000000 geo=c5f7b0c150333057 audit=ok",
 	"Industry7/hier-search":  "nodes=43 lps=189 iters=7249",
 	"Industry7/pd":           "obj=40b6aa0000000000 geo=cf161fbcdf049ddf audit=ok",
+	"Industry7/post":         "geo=076d20edda26fa8b vio=1 refine=1/0/1/0/2 viodst=0 wl=40da25c000000000 reg=3fea740da740da75",
 	"Industry7/problem":      "objs=15 cands=180 hash=440e06d4ce441187",
 }
 
@@ -116,6 +126,18 @@ func fpProblem(p *route.Problem) string {
 func fpSolve(p *route.Problem, obj float64, a route.Assignment) string {
 	h := fnv.New64a()
 	r := p.ExtractRouting(a)
+	hashRouting(h, r)
+	rep := audit.Check(p.Design, p.Grid, r)
+	verdict := "ok"
+	if !rep.OK() {
+		verdict = fmt.Sprintf("%d", len(rep.Violations))
+	}
+	return fmt.Sprintf("obj=%016x geo=%016x audit=%s", math.Float64bits(obj), h.Sum64(), verdict)
+}
+
+// hashRouting writes a routing's layers and canonical segments per bit,
+// plus its solution objects, to h.
+func hashRouting(h io.Writer, r *route.Routing) {
 	for gi := range r.Bits {
 		for bi := range r.Bits[gi] {
 			b := r.Bits[gi][bi]
@@ -132,12 +154,18 @@ func fpSolve(p *route.Problem, obj float64, a route.Assignment) string {
 			fmt.Fprintf(h, "s%d,%d,%d,%v;", so.RepBit, so.HLayer, so.VLayer, so.BitIdx)
 		}
 	}
-	rep := audit.Check(p.Design, p.Grid, r)
-	verdict := "ok"
-	if !rep.OK() {
-		verdict = fmt.Sprintf("%d", len(rep.Violations))
-	}
-	return fmt.Sprintf("obj=%016x geo=%016x audit=%s", math.Float64bits(obj), h.Sum64(), verdict)
+}
+
+// fpPost digests a primal-dual run with clustering and refinement: the
+// post-optimized geometry, Vio(dst) before refinement, the refinement stats,
+// and the final Vio(dst), WL and Avg(Reg).
+func fpPost(res *core.Result) string {
+	h := fnv.New64a()
+	hashRouting(h, res.Routing)
+	rs := res.Refine
+	return fmt.Sprintf("geo=%016x vio=%d refine=%d/%d/%d/%d/%d viodst=%d wl=%016x reg=%016x",
+		h.Sum64(), res.VioBefore, rs.GroupsBefore, rs.GroupsAfter, rs.PinsFixed, rs.PinsLeft, rs.AddedWL,
+		res.Metrics.VioDst, math.Float64bits(res.Metrics.WL), math.Float64bits(res.Metrics.AvgReg))
 }
 
 // fpSearch digests the branch-and-bound search shape a solve left on its
@@ -207,6 +235,13 @@ func computeFingerprints(t *testing.T, workers int) map[string]string {
 			got[name+"/exact"] = fpSolve(p, es.Objective, es.Assignment)
 			got[name+"/exact-search"] = fpSearch(rec)
 		}
+		post, err := core.RunProblemCtx(context.Background(), p, core.Options{
+			Method: core.PrimalDual, PostOpt: true, Clustering: true, Refinement: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: post: %v", name, err)
+		}
+		got[name+"/post"] = fpPost(post)
 	}
 	return got
 }

@@ -67,7 +67,7 @@ func main() {
 				fmt.Printf("  %-8s unrouted\n", bit.Name)
 				continue
 			}
-			d := br.Tree.PathLength(bit.Pins[0].Loc, bit.Pins[1].Loc)
+			d := br.Tree.PathLengths(bit.Pins[0].Loc, []geom.Point{bit.Pins[1].Loc})[0]
 			fmt.Printf("  %-8s dist=%-3d  %s\n", bit.Name, d, br.Tree)
 		}
 	}

@@ -255,6 +255,7 @@ func RunProblemCtx(ctx context.Context, p *route.Problem, opt Options) (*Result,
 	res.Routing = p.ExtractRouting(res.Assignment)
 	res.Usage = res.Routing.UsageOf(p.Grid)
 
+	refined := false
 	if opt.PostOpt {
 		var postErr error
 		if opt.Clustering {
@@ -262,10 +263,10 @@ func RunProblemCtx(ctx context.Context, p *route.Problem, opt Options) (*Result,
 			res.Cluster = stats
 			postErr = err
 		}
-		res.VioBefore = postopt.CountViolatedGroups(p.Design, res.Routing, opt.Post)
 		if postErr == nil && opt.Refinement {
 			stats, err := postopt.RefineCtx(ctx, p, res.Routing, res.Usage, opt.Post)
 			res.Refine = stats
+			refined = true
 			postErr = err
 		}
 		if postErr != nil {
@@ -277,8 +278,6 @@ func RunProblemCtx(ctx context.Context, p *route.Problem, opt Options) (*Result,
 			// timed-out result, not an error.
 			res.TimedOut = true
 		}
-	} else {
-		res.VioBefore = postopt.CountViolatedGroups(p.Design, res.Routing, opt.Post)
 	}
 
 	res.Runtime = time.Since(start)
@@ -287,6 +286,13 @@ func RunProblemCtx(ctx context.Context, p *route.Problem, opt Options) (*Result,
 		return nil
 	})
 	res.Metrics.Runtime = res.Runtime
+	// Refinement measured the routing it started from; without it, the
+	// metrics just measured the same routing.
+	if refined {
+		res.VioBefore = res.Refine.GroupsBefore
+	} else {
+		res.VioBefore = res.Metrics.VioDst
+	}
 
 	if opt.Audit != AuditOff {
 		rep := audit.CheckCtx(ctx, p.Design, p.Grid, res.Routing)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/benchgen"
+	"repro/internal/postopt"
 	"repro/internal/route"
 )
 
@@ -109,5 +110,42 @@ func TestVioBeforeWithoutPostOpt(t *testing.T) {
 	}
 	if res.VioBefore != res.Metrics.VioDst {
 		t.Errorf("without post-opt VioBefore %d != VioDst %d", res.VioBefore, res.Metrics.VioDst)
+	}
+}
+
+// TestRefineCountsMatchFreshScans pins refinement's Vio(dst) bookkeeping on
+// designs where it fixes pins: the count before refinement equals the one a
+// run without refinement reports, and the count after equals a fresh scan
+// of the refined routing.
+func TestRefineCountsMatchFreshScans(t *testing.T) {
+	for _, c := range []struct{ n, fixed int }{{1, 1}, {4, 3}, {7, 1}} {
+		d := benchgen.Scale(benchgen.Industry(c.n), 0.1).Generate()
+		p, err := route.Build(d, route.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		on := Options{Method: PrimalDual, PostOpt: true, Clustering: true, Refinement: true}
+		full, err := RunProblem(p, on)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := on
+		off.Refinement = false
+		unrefined, err := RunProblem(p, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Refine.PinsFixed != c.fixed {
+			t.Errorf("Industry%d: refinement fixed %d pins, want %d", c.n, full.Refine.PinsFixed, c.fixed)
+		}
+		if full.VioBefore != unrefined.VioBefore || full.Refine.GroupsBefore != unrefined.VioBefore {
+			t.Errorf("Industry%d: VioBefore %d, GroupsBefore %d, unrefined run %d",
+				c.n, full.VioBefore, full.Refine.GroupsBefore, unrefined.VioBefore)
+		}
+		fresh := postopt.CountViolatedGroups(d, full.Routing, on.Post)
+		if full.Refine.GroupsAfter != fresh || full.Metrics.VioDst != fresh {
+			t.Errorf("Industry%d: GroupsAfter %d, VioDst %d, fresh scan %d",
+				c.n, full.Refine.GroupsAfter, full.Metrics.VioDst, fresh)
+		}
 	}
 }

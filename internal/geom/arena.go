@@ -69,6 +69,18 @@ type Arena struct {
 	hpts  []uint64
 	vpts  []uint64
 	canon []Seg
+
+	// Tree view scratch (view.go).
+	split []Seg
+	eps   []endpoint
+	pts   []Point
+	nodes []Point
+	ends  []int32
+	off   []int32
+	adj   []int32
+	work  []int32
+	dist  []int
+	inq   []bool
 }
 
 var arenaPool = sync.Pool{New: func() any {

@@ -140,6 +140,141 @@ func refBends(segs []Seg) int {
 	return bends
 }
 
+// refAdjacency, refConnected and refPathLength are the map-based tree
+// queries the arena's tree view replaced, verbatim but for the receiver.
+
+// refAdjacency returns node list and adjacency (indices) of the canonical tree.
+func refAdjacency(t Tree) ([]Point, map[Point][]Point) {
+	c := t.Canon()
+	adj := make(map[Point][]Point)
+	for _, s := range c.Segs {
+		adj[s.A] = append(adj[s.A], s.B)
+		adj[s.B] = append(adj[s.B], s.A)
+	}
+	nodes := make([]Point, 0, len(adj))
+	for p := range adj {
+		nodes = append(nodes, p)
+	}
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Less(nodes[j]) })
+	return nodes, adj
+}
+
+// refConnected reports whether the tree is a single connected component that
+// touches every one of the given pins. An empty tree is connected iff all
+// pins coincide.
+func refConnected(t Tree, pins []Point) bool {
+	if len(t.Segs) == 0 {
+		for _, p := range pins[1:] {
+			if p != pins[0] {
+				return false
+			}
+		}
+		return true
+	}
+	for _, p := range pins {
+		if !t.OnTree(p) {
+			return false
+		}
+	}
+	nodes, adj := refAdjacency(t)
+	seen := map[Point]bool{nodes[0]: true}
+	stack := []Point{nodes[0]}
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, q := range adj[p] {
+			if !seen[q] {
+				seen[q] = true
+				stack = append(stack, q)
+			}
+		}
+	}
+	return len(seen) == len(nodes)
+}
+
+// refPathLength returns the length of the unique path between two points on
+// the tree, or -1 when either point is off-tree or the tree is disconnected
+// between them. Used for source-to-sink distance accounting.
+func refPathLength(t Tree, from, to Point) int {
+	if from == to {
+		if t.OnTree(from) || len(t.Segs) == 0 {
+			return 0
+		}
+		return -1
+	}
+	if !t.OnTree(from) || !t.OnTree(to) {
+		return -1
+	}
+	// Split segments at from/to by adding zero-extent markers is not enough;
+	// instead cut the canonical segs that contain the endpoints.
+	c := t.Canon()
+	var segs []Seg
+	for _, s := range c.Segs {
+		pts := []int{}
+		horiz := s.Horizontal()
+		coord := func(p Point) int {
+			if horiz {
+				return p.X
+			}
+			return p.Y
+		}
+		n := s.Norm()
+		for _, p := range []Point{from, to} {
+			if s.Contains(p) && p != n.A && p != n.B {
+				pts = append(pts, coord(p))
+			}
+		}
+		if len(pts) == 0 {
+			segs = append(segs, n)
+			continue
+		}
+		pts = append(pts, coord(n.A), coord(n.B))
+		sort.Ints(pts)
+		for i := 0; i+1 < len(pts); i++ {
+			if pts[i] == pts[i+1] {
+				continue
+			}
+			if horiz {
+				segs = append(segs, Seg{A: Point{pts[i], n.A.Y}, B: Point{pts[i+1], n.A.Y}})
+			} else {
+				segs = append(segs, Seg{A: Point{n.A.X, pts[i]}, B: Point{n.A.X, pts[i+1]}})
+			}
+		}
+	}
+	adj := make(map[Point][]Point)
+	for _, s := range segs {
+		adj[s.A] = append(adj[s.A], s.B)
+		adj[s.B] = append(adj[s.B], s.A)
+	}
+	// Dijkstra with linear extraction — segment graphs are tiny, and the
+	// shortest path is well-defined even when overlapping segments form
+	// cycles (a proper tree has a unique path, which is then also the
+	// shortest).
+	dist := map[Point]int{from: 0}
+	done := map[Point]bool{}
+	for {
+		cur, curD := Point{}, -1
+		for p, d := range dist {
+			if !done[p] && (curD == -1 || d < curD) {
+				cur, curD = p, d
+			}
+		}
+		if curD == -1 {
+			return -1
+		}
+		if cur == to {
+			return curD
+		}
+		done[cur] = true
+		for _, q := range adj[cur] {
+			nd := curD + Dist(cur, q)
+			if old, ok := dist[q]; !ok || nd < old {
+				dist[q] = nd
+			}
+		}
+	}
+}
+
 // randSegs draws a random rectilinear segment soup: overlapping runs,
 // duplicate and zero-length segments, negative coordinates, crossings.
 func randSegs(rng *rand.Rand, n int) []Seg {
@@ -270,6 +405,134 @@ func TestArenaScratchReuse(t *testing.T) {
 	}
 }
 
+// treeQueryOffsets shift a decoded soup; all but the first leave the
+// packed-key range.
+var treeQueryOffsets = []Point{{0, 0}, {1 << 32, 0}, {0, -(1 << 40)}, {-(1 << 31), 1 << 33}}
+
+// decodeTreeQuery reads a segment soup, a source and targets from fuzz
+// input. Byte 0 picks a coordinate offset from treeQueryOffsets; 3-byte
+// records follow: x and y in [-2, 5], then a byte whose low three bits pick
+// the kind (0-2 horizontal, 3-5 vertical, 6 query point, 7 diagonal) and
+// whose rest gives a length in [-5, 5], zero included. The first query
+// point is the source (the first segment's B when there is none); the
+// other query points and every segment's A are the targets.
+func decodeTreeQuery(data []byte) (segs []Seg, from Point, to []Point) {
+	if len(data) == 0 {
+		return nil, Point{}, nil
+	}
+	off := treeQueryOffsets[int(data[0])%len(treeQueryOffsets)]
+	var query []Point
+	for rec := data[1:]; len(rec) >= 3; rec = rec[3:] {
+		p := Pt(int(rec[0]%8)-2, int(rec[1]%8)-2).Add(off)
+		l := int(rec[2]>>3)%11 - 5
+		switch k := rec[2] % 8; {
+		case k < 3:
+			segs = append(segs, Seg{A: p, B: p.Add(Pt(l, 0))})
+		case k < 6:
+			segs = append(segs, Seg{A: p, B: p.Add(Pt(0, l))})
+		case k == 6:
+			query = append(query, p)
+		default:
+			segs = append(segs, Seg{A: p, B: p.Add(Pt(l, l))})
+		}
+	}
+	switch {
+	case len(query) > 0:
+		from, query = query[0], query[1:]
+	case len(segs) > 0:
+		from = segs[0].B
+	default:
+		from = off
+	}
+	to = query
+	for _, s := range segs {
+		to = append(to, s.A)
+	}
+	return segs, from, to
+}
+
+// refConnectedOK calls refConnected, reporting ok=false where it panics:
+// on pins that all lie on a tree without wire.
+func refConnectedOK(t Tree, pins []Point) (conn, ok bool) {
+	defer func() {
+		if recover() != nil {
+			ok = false
+		}
+	}()
+	return refConnected(t, pins), true
+}
+
+// checkTreeQueries pins the tree view against the map-based references.
+// PathLengths is specified for rectilinear trees, so soups with a diagonal
+// segment (which only the audit's connectivity check sees) skip it.
+func checkTreeQueries(t *testing.T, segs []Seg, from Point, to []Point) {
+	t.Helper()
+	tr := Tree{Segs: segs}
+	rectilinear := true
+	var ends []Point
+	for _, s := range segs {
+		rectilinear = rectilinear && (s.Horizontal() || s.Vertical())
+		ends = append(ends, s.A, s.B)
+	}
+	if rectilinear {
+		got := tr.PathLengths(from, to)
+		for k, p := range to {
+			if want := refPathLength(tr, from, p); got[k] != want {
+				t.Fatalf("PathLengths(%v)[%d] to %v = %d, reference %d (segs %v)", from, k, p, got[k], want, segs)
+			}
+		}
+	}
+	for _, pins := range [][]Point{nil, to, ends, {from}} {
+		want, ok := refConnectedOK(tr, pins)
+		if !ok {
+			// The reference panics only when every pin lies on a tree
+			// without wire; the view reports whether they coincide.
+			want = true
+			for _, p := range pins {
+				want = want && p == pins[0]
+			}
+		}
+		if got := tr.Connected(pins); got != want {
+			t.Fatalf("Connected(%v) = %v, reference %v (segs %v)", pins, got, want, segs)
+		}
+	}
+}
+
+func FuzzTreeQueries(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		segs, from, to := decodeTreeQuery(data)
+		checkTreeQueries(t, segs, from, to)
+	})
+}
+
+func TestTreeQueriesMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 5000; trial++ {
+		data := make([]byte, 1+3*(1+rng.Intn(12)))
+		rng.Read(data)
+		segs, from, to := decodeTreeQuery(data)
+		checkTreeQueries(t, segs, from, to)
+	}
+	for trial := 0; trial < 1000; trial++ {
+		tr, pts := randomSpanTree(rng, 2+rng.Intn(8))
+		checkTreeQueries(t, tr.Segs, pts[0], pts)
+	}
+}
+
+func TestTreeQueriesAllocs(t *testing.T) {
+	// The arena is held, not pooled: the race detector drops pooled
+	// arenas at random.
+	tr, pins := randomSpanTree(rand.New(rand.NewSource(5)), 8)
+	a := new(Arena)
+	a.pathLengths(tr.Segs, pins[0], pins)
+	if n := testing.AllocsPerRun(50, func() { a.connected(tr.Segs, pins) }); n != 0 {
+		t.Errorf("Connected allocates %v times per call on a warm arena, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { a.pathLengths(tr.Segs, pins[0], pins) }); n != 1 {
+		t.Errorf("PathLengths allocates %v times per call on a warm arena, want 1 (its result)", n)
+	}
+}
+
 func TestArenaCountersAdvance(t *testing.T) {
 	g0, _ := ArenaCounters()
 	a := GetArena()
@@ -317,6 +580,23 @@ func BenchmarkArenaKernels(b *testing.B) {
 		defer PutArena(a)
 		for i := 0; i < b.N; i++ {
 			a.WireLength(segs)
+		}
+	})
+	tr, pins := randomSpanTree(rng, 8)
+	b.Run("connected", func(b *testing.B) {
+		b.ReportAllocs()
+		a := GetArena()
+		defer PutArena(a)
+		for i := 0; i < b.N; i++ {
+			a.connected(tr.Segs, pins)
+		}
+	})
+	b.Run("pathlengths", func(b *testing.B) {
+		b.ReportAllocs()
+		a := GetArena()
+		defer PutArena(a)
+		for i := 0; i < b.N; i++ {
+			a.pathLengths(tr.Segs, pins[0], pins)
 		}
 	})
 }

@@ -14,7 +14,7 @@ func TestPathLengthBounds(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tr, pts := randomSpanTree(r, 2+r.Intn(6))
 		a, b := pts[0], pts[len(pts)-1]
-		d := tr.PathLength(a, b)
+		d := tr.PathLengths(a, []Point{b})[0]
 		if d < 0 {
 			return false // pins always on their own spanning tree
 		}
@@ -31,7 +31,7 @@ func TestPathLengthSymmetric(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		tr, pts := randomSpanTree(r, 2+r.Intn(6))
 		a, b := pts[r.Intn(len(pts))], pts[r.Intn(len(pts))]
-		return tr.PathLength(a, b) == tr.PathLength(b, a)
+		return tr.PathLengths(a, []Point{b})[0] == tr.PathLengths(b, []Point{a})[0]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)

@@ -78,38 +78,6 @@ func (t Tree) Canon() Tree {
 	return out
 }
 
-// Nodes returns the distinct endpoints of the canonical tree, sorted.
-func (t Tree) Nodes() []Point {
-	c := t.Canon()
-	set := make(map[Point]bool)
-	for _, s := range c.Segs {
-		set[s.A] = true
-		set[s.B] = true
-	}
-	out := make([]Point, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
-}
-
-// adjacency returns node list and adjacency (indices) of the canonical tree.
-func (t Tree) adjacency() ([]Point, map[Point][]Point) {
-	c := t.Canon()
-	adj := make(map[Point][]Point)
-	for _, s := range c.Segs {
-		adj[s.A] = append(adj[s.A], s.B)
-		adj[s.B] = append(adj[s.B], s.A)
-	}
-	nodes := make([]Point, 0, len(adj))
-	for p := range adj {
-		nodes = append(nodes, p)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Less(nodes[j]) })
-	return nodes, adj
-}
-
 // Bends returns the number of bending points: canonical nodes of degree 2
 // whose incident segments are perpendicular.
 func (t Tree) Bends() int {
@@ -117,39 +85,6 @@ func (t Tree) Bends() int {
 	bends := a.Bends(t.Segs)
 	PutArena(a)
 	return bends
-}
-
-// BendPoints returns the canonical nodes of degree >= 2 that have both a
-// horizontal and a vertical incident segment — the paper's "bending points"
-// (corners and T/X junctions), used for SV-based topology matching.
-func (t Tree) BendPoints() []Point {
-	c := t.Canon()
-	type inc struct{ h, v int }
-	m := make(map[Point]*inc)
-	touch := func(p Point, horizontal bool) {
-		e := m[p]
-		if e == nil {
-			e = &inc{}
-			m[p] = e
-		}
-		if horizontal {
-			e.h++
-		} else {
-			e.v++
-		}
-	}
-	for _, s := range c.Segs {
-		touch(s.A, s.Horizontal())
-		touch(s.B, s.Horizontal())
-	}
-	var out []Point
-	for p, e := range m {
-		if e.h > 0 && e.v > 0 {
-			out = append(out, p)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
 
 // OnTree reports whether p lies on any segment of the tree.
@@ -163,131 +98,22 @@ func (t Tree) OnTree(p Point) bool {
 }
 
 // Connected reports whether the tree is a single connected component that
-// touches every one of the given pins. An empty tree is connected iff all
-// pins coincide.
+// touches every one of the given pins. A tree without wire is connected iff
+// all pins coincide.
 func (t Tree) Connected(pins []Point) bool {
-	if len(t.Segs) == 0 {
-		for _, p := range pins[1:] {
-			if p != pins[0] {
-				return false
-			}
-		}
-		return true
-	}
-	for _, p := range pins {
-		if !t.OnTree(p) {
-			return false
-		}
-	}
-	nodes, adj := t.adjacency()
-	seen := map[Point]bool{nodes[0]: true}
-	stack := []Point{nodes[0]}
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, q := range adj[p] {
-			if !seen[q] {
-				seen[q] = true
-				stack = append(stack, q)
-			}
-		}
-	}
-	return len(seen) == len(nodes)
+	a := GetArena()
+	ok := a.connected(t.Segs, pins)
+	PutArena(a)
+	return ok
 }
 
-// IsTree reports whether the canonical segment graph is connected and
-// acyclic (|E| == |V| - 1).
-func (t Tree) IsTree() bool {
-	if len(t.Segs) == 0 {
-		return true
-	}
-	if !t.Connected(nil) {
-		return false
-	}
-	c := t.Canon()
-	nodes, _ := t.adjacency()
-	return len(c.Segs) == len(nodes)-1
-}
-
-// PathLength returns the length of the unique path between two points on
-// the tree, or -1 when either point is off-tree or the tree is disconnected
-// between them. Used for source-to-sink distance accounting.
-func (t Tree) PathLength(from, to Point) int {
-	if from == to {
-		if t.OnTree(from) || len(t.Segs) == 0 {
-			return 0
-		}
-		return -1
-	}
-	if !t.OnTree(from) || !t.OnTree(to) {
-		return -1
-	}
-	// Split segments at from/to by adding zero-extent markers is not enough;
-	// instead cut the canonical segs that contain the endpoints.
-	c := t.Canon()
-	var segs []Seg
-	for _, s := range c.Segs {
-		pts := []int{}
-		horiz := s.Horizontal()
-		coord := func(p Point) int {
-			if horiz {
-				return p.X
-			}
-			return p.Y
-		}
-		n := s.Norm()
-		for _, p := range []Point{from, to} {
-			if s.Contains(p) && p != n.A && p != n.B {
-				pts = append(pts, coord(p))
-			}
-		}
-		if len(pts) == 0 {
-			segs = append(segs, n)
-			continue
-		}
-		pts = append(pts, coord(n.A), coord(n.B))
-		sort.Ints(pts)
-		for i := 0; i+1 < len(pts); i++ {
-			if pts[i] == pts[i+1] {
-				continue
-			}
-			if horiz {
-				segs = append(segs, Seg{A: Point{pts[i], n.A.Y}, B: Point{pts[i+1], n.A.Y}})
-			} else {
-				segs = append(segs, Seg{A: Point{n.A.X, pts[i]}, B: Point{n.A.X, pts[i+1]}})
-			}
-		}
-	}
-	adj := make(map[Point][]Point)
-	for _, s := range segs {
-		adj[s.A] = append(adj[s.A], s.B)
-		adj[s.B] = append(adj[s.B], s.A)
-	}
-	// Dijkstra with linear extraction — segment graphs are tiny, and the
-	// shortest path is well-defined even when overlapping segments form
-	// cycles (a proper tree has a unique path, which is then also the
-	// shortest).
-	dist := map[Point]int{from: 0}
-	done := map[Point]bool{}
-	for {
-		cur, curD := Point{}, -1
-		for p, d := range dist {
-			if !done[p] && (curD == -1 || d < curD) {
-				cur, curD = p, d
-			}
-		}
-		if curD == -1 {
-			return -1
-		}
-		if cur == to {
-			return curD
-		}
-		done[cur] = true
-		for _, q := range adj[cur] {
-			nd := curD + Dist(cur, q)
-			if old, ok := dist[q]; !ok || nd < old {
-				dist[q] = nd
-			}
-		}
-	}
+// PathLengths returns the length of the path along the tree from from to
+// each point of to, or -1 where either point is off-tree or the tree does
+// not connect them; a point is at distance 0 from itself when it is on the
+// tree or the tree is empty. Used for source-to-sink distance accounting.
+func (t Tree) PathLengths(from Point, to []Point) []int {
+	a := GetArena()
+	out := a.pathLengths(t.Segs, from, to)
+	PutArena(a)
+	return out
 }

@@ -33,9 +33,12 @@ func TestCanonSplitsAtJunctions(t *testing.T) {
 	if len(c.Segs) != 4 {
 		t.Fatalf("Canon segs = %d, want 4 (%v)", len(c.Segs), c.Segs)
 	}
-	nodes := tr.Nodes()
+	nodes := map[Point]bool{}
+	for _, s := range c.Segs {
+		nodes[s.A], nodes[s.B] = true, true
+	}
 	if len(nodes) != 5 {
-		t.Fatalf("Nodes = %d, want 5", len(nodes))
+		t.Fatalf("canonical nodes = %d, want 5", len(nodes))
 	}
 }
 
@@ -62,23 +65,6 @@ func TestBends(t *testing.T) {
 	}
 }
 
-func TestBendPoints(t *testing.T) {
-	z := NewTree(
-		S(Pt(0, 0), Pt(2, 0)),
-		S(Pt(2, 0), Pt(2, 3)),
-		S(Pt(2, 3), Pt(5, 3)),
-	)
-	bp := z.BendPoints()
-	if len(bp) != 2 || bp[0] != Pt(2, 0) || bp[1] != Pt(2, 3) {
-		t.Errorf("BendPoints = %v", bp)
-	}
-	// T junction has both orientations: it is a bend point (junction).
-	tj := NewTree(S(Pt(0, 0), Pt(4, 0)), S(Pt(2, 0), Pt(2, 3)))
-	if got := tj.BendPoints(); len(got) != 1 || got[0] != Pt(2, 0) {
-		t.Errorf("T BendPoints = %v", got)
-	}
-}
-
 func TestConnected(t *testing.T) {
 	tr := crossTree()
 	if !tr.Connected([]Point{Pt(0, 2), Pt(4, 2), Pt(2, 0), Pt(2, 4)}) {
@@ -92,21 +78,13 @@ func TestConnected(t *testing.T) {
 	if dis.Connected(nil) {
 		t.Error("disjoint tree reported connected")
 	}
-}
-
-func TestIsTree(t *testing.T) {
-	if !crossTree().IsTree() {
-		t.Error("cross should be a tree")
+	// A tree without wire is connected iff its pins coincide, and no pins
+	// at all is the vacuous case.
+	if !(Tree{}).Connected(nil) || !(Tree{}).Connected([]Point{Pt(1, 1), Pt(1, 1)}) {
+		t.Error("empty tree with coincident pins reported disconnected")
 	}
-	// A rectangle loop has a cycle.
-	loop := NewTree(
-		S(Pt(0, 0), Pt(3, 0)),
-		S(Pt(3, 0), Pt(3, 3)),
-		S(Pt(3, 3), Pt(0, 3)),
-		S(Pt(0, 3), Pt(0, 0)),
-	)
-	if loop.IsTree() {
-		t.Error("loop reported as tree")
+	if (Tree{}).Connected([]Point{Pt(1, 1), Pt(2, 1)}) {
+		t.Error("empty tree reported connecting two distinct pins")
 	}
 }
 
@@ -127,8 +105,8 @@ func TestPathLength(t *testing.T) {
 		{Pt(0, 0), Pt(9, 9), -1}, // off tree
 	}
 	for _, c := range cases {
-		if got := z.PathLength(c.a, c.b); got != c.want {
-			t.Errorf("PathLength(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
+		if got := z.PathLengths(c.a, []Point{c.b})[0]; got != c.want {
+			t.Errorf("PathLengths(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }

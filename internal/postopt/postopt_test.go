@@ -166,7 +166,7 @@ func TestFindViolations(t *testing.T) {
 	}
 	res := pd.Solve(p)
 	r := p.ExtractRouting(res.Assignment)
-	vios := findViolations(d, r, Options{})
+	vios := findViolations(d, r, measure(d, r), Options{})
 	if len(vios) == 0 {
 		t.Skip("identification split the short bit into its own object; no class to violate")
 	}

@@ -12,24 +12,40 @@ import (
 	"repro/internal/signal"
 )
 
-// pinDistance returns the source-to-sink path length from the bit's driver
-// to pin `pin` along its routed tree, or -1 when unrouted/off-tree.
-func pinDistance(bit *signal.Bit, br *route.BitRoute, pin int) int {
-	if !br.Routed {
-		return -1
+// dists holds every bit's driver-to-pin distances along its routed tree,
+// indexed [group][bit][pin]. An unrouted bit's row is nil; an entry is -1
+// where the pin is off-tree.
+type dists [][][]int
+
+// measure builds the distance table of a routing with one PathLengths call
+// per routed bit.
+func measure(d *signal.Design, r *route.Routing) dists {
+	t := make(dists, len(d.Groups))
+	for gi := range d.Groups {
+		t[gi] = make([][]int, len(d.Groups[gi].Bits))
+		for bi := range t[gi] {
+			t.remeasure(d, r, gi, bi)
+		}
 	}
-	return br.Tree.PathLength(bit.DriverLoc(), bit.Pins[pin].Loc)
+	return t
 }
 
-// groupMaxDistance returns the maximum source-to-sink distance over all
-// routed bits and sinks of the group — the base of the paper's 50 %
-// threshold rule.
-func groupMaxDistance(g *signal.Group, bits []route.BitRoute) int {
+// remeasure recomputes one bit's row after its tree changed.
+func (t dists) remeasure(d *signal.Design, r *route.Routing, gi, bi int) {
+	t[gi][bi] = nil
+	if br := &r.Bits[gi][bi]; br.Routed {
+		bit := &d.Groups[gi].Bits[bi]
+		t[gi][bi] = br.Tree.PathLengths(bit.DriverLoc(), bit.PinLocs())
+	}
+}
+
+// groupMax returns the maximum source-to-sink distance over all routed bits
+// and sinks of the group — the base of the paper's 50 % threshold rule.
+func (t dists) groupMax(gi int, g *signal.Group) int {
 	maxDst := 0
-	for bi := range g.Bits {
-		b := &g.Bits[bi]
-		for _, s := range b.Sinks() {
-			if d := pinDistance(b, &bits[bi], s); d > maxDst {
+	for bi, row := range t[gi] {
+		for pin, d := range row {
+			if pin != g.Bits[bi].Driver && d > maxDst {
 				maxDst = d
 			}
 		}
@@ -45,16 +61,16 @@ type violation struct {
 }
 
 // findViolations detects the source-to-sink deviation violations of a
-// routing: for every solution object with a pin correspondence, each
-// mapped sink class whose distance spread exceeds threshold = DistFrac *
-// (group max initial distance) flags its short pins. Returned slice is
-// sorted deterministically.
-func findViolations(d *signal.Design, r *route.Routing, opt Options) []violation {
+// routing from its distance table: for every solution object with a pin
+// correspondence, each mapped sink class whose distance spread exceeds
+// threshold = DistFrac * (group max initial distance) flags its short pins.
+// Returned slice is sorted by group, bit and pin.
+func findViolations(d *signal.Design, r *route.Routing, dst dists, opt Options) []violation {
 	opt = opt.withDefaults()
 	var out []violation
 	for gi := range d.Groups {
 		g := &d.Groups[gi]
-		threshold := int(opt.DistFrac * float64(groupMaxDistance(g, r.Bits[gi])))
+		threshold := int(opt.DistFrac * float64(dst.groupMax(gi, g)))
 		if threshold <= 0 {
 			continue
 		}
@@ -81,13 +97,13 @@ func findViolations(d *signal.Design, r *route.Routing, opt Options) []violation
 				maxDst := -1
 				for k, bi := range so.BitIdx {
 					pin := so.PinMap[k][mapToObjectPin(so.PinMap[repK], repSink)]
-					dst := pinDistance(&g.Bits[bi], &r.Bits[gi][bi], pin)
-					if dst < 0 {
+					row := dst[gi][bi]
+					if row == nil || row[pin] < 0 {
 						continue
 					}
-					cls = append(cls, entry{bi, pin, dst})
-					if dst > maxDst {
-						maxDst = dst
+					cls = append(cls, entry{bi, pin, row[pin]})
+					if row[pin] > maxDst {
+						maxDst = row[pin]
 					}
 				}
 				for _, e := range cls {
@@ -127,11 +143,18 @@ func mapToObjectPin(repMap []int, repPin int) int {
 // CountViolatedGroups returns the paper's Vio(dst) metric: the number of
 // groups with at least one source-to-sink deviation violation.
 func CountViolatedGroups(d *signal.Design, r *route.Routing, opt Options) int {
-	seen := map[int]bool{}
-	for _, v := range findViolations(d, r, opt) {
-		seen[v.group] = true
+	return violatedGroups(findViolations(d, r, measure(d, r), opt))
+}
+
+// violatedGroups counts the distinct groups of a sorted violation list.
+func violatedGroups(vs []violation) int {
+	n := 0
+	for i, v := range vs {
+		if i == 0 || v.group != vs[i-1].group {
+			n++
+		}
 	}
-	return len(seen)
+	return n
 }
 
 // RefineStats summarizes a refinement pass.
@@ -158,25 +181,32 @@ func Refine(p *route.Problem, r *route.Routing, u *grid.Usage, opt Options) Refi
 
 // RefineCtx is Refine honoring the context: cancellation is checked before
 // every detour, so the call returns promptly with ctx's error. Detours
-// already committed stay in place — each one is individually legal.
+// already committed stay in place — each one is individually legal. The
+// routing is measured once; a successful detour re-measures only its bit.
 func RefineCtx(ctx context.Context, p *route.Problem, r *route.Routing, u *grid.Usage, opt Options) (RefineStats, error) {
 	opt = opt.withDefaults()
 	var stats RefineStats
 	err := obs.Do(ctx, obs.StageRefine, 0, func(ctx context.Context) error {
-		stats.GroupsBefore = CountViolatedGroups(p.Design, r, opt)
-		for _, v := range findViolations(p.Design, r, opt) {
-			if err := ctx.Err(); err != nil {
-				stats.GroupsAfter = CountViolatedGroups(p.Design, r, opt)
-				return fmt.Errorf("postopt: refine: %w", err)
+		dst := measure(p.Design, r)
+		vios := findViolations(p.Design, r, dst, opt)
+		stats.GroupsBefore = violatedGroups(vios)
+		var err error
+		for _, v := range vios {
+			if err = ctx.Err(); err != nil {
+				break
 			}
 			if fixed, added := detourPin(p.Design, r, u, v); fixed {
+				dst.remeasure(p.Design, r, v.group, v.bit)
 				stats.PinsFixed++
 				stats.AddedWL += added
 			} else {
 				stats.PinsLeft++
 			}
 		}
-		stats.GroupsAfter = CountViolatedGroups(p.Design, r, opt)
+		stats.GroupsAfter = violatedGroups(findViolations(p.Design, r, dst, opt))
+		if err != nil {
+			return fmt.Errorf("postopt: refine: %w", err)
+		}
 		return nil
 	})
 	if rec := obs.FromContext(ctx); rec != nil {

@@ -85,6 +85,9 @@ func ReadRoutedJSON(rd io.Reader) (map[string]geom.Tree, error) {
 		if !eb.Routed {
 			continue
 		}
+		if len(eb.Pins) < 2 {
+			return nil, fmt.Errorf("route: %s/%s is routed with %d pins; a bit has at least 2", eb.Group, eb.Bit, len(eb.Pins))
+		}
 		var t geom.Tree
 		for _, s := range eb.Segs {
 			a := geom.Pt(s[0], s[1])

@@ -80,4 +80,13 @@ func TestReadRoutedJSONRejectsBrokenRoutes(t *testing.T) {
 	if _, err := ReadRoutedJSON(strings.NewReader("nope")); err == nil {
 		t.Error("garbage accepted")
 	}
+	// Routed bits without two pins used to panic in the connectivity check.
+	for _, doc := range []string{
+		`{"design":"d","bits":[{"group":"g","bit":"b","routed":true,"pins":[],"driver":0}]}`,
+		`{"design":"d","bits":[{"group":"g","bit":"b","routed":true,"segs":[[1,1,1,1]],"driver":0}]}`,
+	} {
+		if _, err := ReadRoutedJSON(strings.NewReader(doc)); err == nil {
+			t.Errorf("routed bit with no pins accepted: %s", doc)
+		}
+	}
 }
