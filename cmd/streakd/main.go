@@ -45,9 +45,9 @@
 // With -telemetry-dir set, every solve (synchronous and async attempts
 // alike) is distilled into the telemetry lake: an embedded append-only
 // segment store with crash-safe replay, queried via
-// /telemetry/v1/series and /telemetry/v1/bench/trajectory and browsed
-// at /debug/telemetry. The producer never blocks a solve — a full
-// buffer (-telemetry-buffer) drops the record and counts the drop.
+// /telemetry/v1/series and /telemetry/v1/scenarios and browsed at
+// /debug/telemetry. The producer never blocks a solve — a full buffer
+// (-telemetry-buffer) drops the record and counts the drop.
 //
 // With -record-dir set, every accepted (validated) /route and /jobs body
 // is captured into a bounded ring of JSONL segments in that directory —

@@ -1,6 +1,9 @@
 package geom
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Seg is an axis-aligned segment between two G-cell points — the paper's
 // "rectilinear connection" (RC). A Seg is normalized when A.Less(B) or A==B;
@@ -93,6 +96,30 @@ func Overlap(a, b Seg) int {
 		}
 	}
 	return 0
+}
+
+// SplitAt cuts every segment at each point of pts lying in its interior,
+// so those points become tree nodes. The pieces come normalized, in the
+// order of segs and along each segment from its lesser endpoint;
+// zero-length segments drop out.
+func SplitAt(segs []Seg, pts []Point) []Seg {
+	var out []Seg
+	for _, s := range segs {
+		n := s.Norm()
+		cuts := []Point{n.A, n.B}
+		for _, p := range pts {
+			if interior(n, p) {
+				cuts = append(cuts, p)
+			}
+		}
+		slices.SortFunc(cuts, cmpPoint)
+		for i := 0; i+1 < len(cuts); i++ {
+			if cuts[i] != cuts[i+1] {
+				out = append(out, Seg{A: cuts[i], B: cuts[i+1]})
+			}
+		}
+	}
+	return out
 }
 
 // LShape returns the one- or two-segment rectilinear connection between a

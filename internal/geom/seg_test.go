@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -81,6 +82,34 @@ func TestOverlapSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestSplitAt(t *testing.T) {
+	h := S(Pt(0, 2), Pt(4, 2))
+	cases := []struct {
+		name string
+		segs []Seg
+		pts  []Point
+		want []Seg
+	}{
+		{"interior cut", []Seg{h}, []Point{Pt(1, 2)},
+			[]Seg{S(Pt(0, 2), Pt(1, 2)), S(Pt(1, 2), Pt(4, 2))}},
+		{"pin at endpoint is not cut", []Seg{h}, []Point{Pt(0, 2), Pt(4, 2)},
+			[]Seg{h}},
+		{"duplicate points", []Seg{h}, []Point{Pt(3, 2), Pt(1, 2), Pt(3, 2)},
+			[]Seg{S(Pt(0, 2), Pt(1, 2)), S(Pt(1, 2), Pt(3, 2)), S(Pt(3, 2), Pt(4, 2))}},
+		{"reversed segment", []Seg{S(Pt(1, 5), Pt(1, 0))}, []Point{Pt(1, 3)},
+			[]Seg{S(Pt(1, 0), Pt(1, 3)), S(Pt(1, 3), Pt(1, 5))}},
+		{"point off the segment", []Seg{h}, []Point{Pt(2, 3), Pt(5, 2)},
+			[]Seg{h}},
+		{"zero-length segment drops out", []Seg{S(Pt(1, 1), Pt(1, 1)), h}, []Point{Pt(1, 1)},
+			[]Seg{h}},
+	}
+	for _, c := range cases {
+		if got := SplitAt(c.segs, c.pts); !slices.Equal(got, c.want) {
+			t.Errorf("%s: SplitAt = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

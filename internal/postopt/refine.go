@@ -295,7 +295,7 @@ func uShape(sp, pin, d geom.Point) []geom.Seg {
 // (§IV-C keeps the other pins' connections intact). It returns the
 // connection, the remaining segments, and ok.
 func leafConnection(t geom.Tree, pins []geom.Point, pin geom.Point) (geom.Seg, []geom.Seg, bool) {
-	segs := splitAt(t.Canon().Segs, pins)
+	segs := geom.SplitAt(t.Canon().Segs, pins)
 	deg := 0
 	var conn geom.Seg
 	var rest []geom.Seg
@@ -311,28 +311,6 @@ func leafConnection(t geom.Tree, pins []geom.Point, pin geom.Point) (geom.Seg, [
 		return geom.Seg{}, nil, false
 	}
 	return conn, rest, true
-}
-
-// splitAt cuts segments at any of the given points lying in their
-// interiors.
-func splitAt(segs []geom.Seg, pts []geom.Point) []geom.Seg {
-	var out []geom.Seg
-	for _, s := range segs {
-		n := s.Norm()
-		cuts := []geom.Point{n.A, n.B}
-		for _, p := range pts {
-			if n.Contains(p) && p != n.A && p != n.B {
-				cuts = append(cuts, p)
-			}
-		}
-		sort.Slice(cuts, func(i, j int) bool { return cuts[i].Less(cuts[j]) })
-		for i := 0; i+1 < len(cuts); i++ {
-			if cuts[i] != cuts[i+1] {
-				out = append(out, geom.Seg{A: cuts[i], B: cuts[i+1]})
-			}
-		}
-	}
-	return out
 }
 
 // treeInBounds reports whether every segment endpoint lies on the grid.

@@ -152,7 +152,7 @@ func pruneDangling(t geom.Tree, pins []geom.Point) geom.Tree {
 	for _, p := range pins {
 		pinSet[p] = true
 	}
-	segs := splitAtPoints(t.Canon().Segs, pins)
+	segs := geom.SplitAt(t.Canon().Segs, pins)
 	for {
 		deg := make(map[geom.Point]int)
 		for _, s := range segs {
@@ -174,28 +174,6 @@ func pruneDangling(t geom.Tree, pins []geom.Point) geom.Tree {
 		}
 	}
 	return geom.Tree{Segs: segs}
-}
-
-// splitAtPoints cuts every segment at each of the given points lying in its
-// interior, so those points become graph nodes (and can anchor pruning).
-func splitAtPoints(segs []geom.Seg, pts []geom.Point) []geom.Seg {
-	var out []geom.Seg
-	for _, s := range segs {
-		n := s.Norm()
-		cuts := []geom.Point{n.A, n.B}
-		for _, p := range pts {
-			if n.Contains(p) && p != n.A && p != n.B {
-				cuts = append(cuts, p)
-			}
-		}
-		sort.Slice(cuts, func(i, j int) bool { return cuts[i].Less(cuts[j]) })
-		for i := 0; i+1 < len(cuts); i++ {
-			if cuts[i] != cuts[i+1] {
-				out = append(out, geom.Seg{A: cuts[i], B: cuts[i+1]})
-			}
-		}
-	}
-	return out
 }
 
 // Length returns the wirelength of the iterated-1-Steiner tree over the

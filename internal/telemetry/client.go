@@ -7,7 +7,7 @@ import (
 )
 
 // Sink receives ingested record batches. *Store is the embedded sink;
-// remote pushers go through HTTP instead (see PushBench).
+// remote pushers go through HTTP instead (see PushScenario).
 type Sink interface {
 	Ingest(recs []Record) error
 }

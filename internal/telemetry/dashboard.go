@@ -1,9 +1,10 @@
 package telemetry
 
 // dashboardHTML is the /debug/telemetry page: a dependency-free view over
-// /telemetry/v1/series?metric=all and /telemetry/v1/bench/trajectory.
-// Everything renders client-side from the two JSON endpoints, so the page
-// stays a single constant string.
+// /telemetry/v1/series?metric=all. Everything renders client-side from that
+// JSON endpoint, so the page stays a single constant string. Design and
+// method names are whatever a client sent, so every table cell goes
+// through esc before it reaches innerHTML.
 const dashboardHTML = `<!DOCTYPE html>
 <html lang="en">
 <head>
@@ -21,7 +22,6 @@ const dashboardHTML = `<!DOCTYPE html>
   .tile b { display: block; font-size: 1.3rem; }
   .muted { opacity: .65; } svg { display: block; }
   .spark path { fill: none; stroke: #4477cc; stroke-width: 1.5; }
-  code { font-size: .9em; }
 </style>
 </head>
 <body>
@@ -34,18 +34,19 @@ const dashboardHTML = `<!DOCTYPE html>
 <h2>solve latency by method</h2><div id="latency"></div>
 <h2>cache serving mix</h2><div id="cache"></div>
 <h2>congestion drift</h2><div id="drift"></div>
-<h2>bench trajectory (per commit)</h2><div id="traj"></div>
 <script>
 const $ = id => document.getElementById(id);
 const fmtUS = us => us >= 1e6 ? (us/1e6).toFixed(2)+' s'
   : us >= 1e3 ? (us/1e3).toFixed(1)+' ms' : us+' µs';
 const pct = f => (100*f).toFixed(1)+'%';
+const esc = x => String(x).replace(/[&<>"']/g, c =>
+  ({'&':'&amp;','<':'&lt;','>':'&gt;','"':'&quot;',"'":'&#39;'})[c]);
 function tile(label, value) {
   return '<div class="tile"><b>'+value+'</b><span class="muted">'+label+'</span></div>';
 }
 function table(headers, rows) {
-  let h = '<table><tr>'+headers.map(x=>'<th>'+x+'</th>').join('')+'</tr>';
-  for (const r of rows) h += '<tr>'+r.map(x=>'<td>'+x+'</td>').join('')+'</tr>';
+  let h = '<table><tr>'+headers.map(x=>'<th>'+esc(x)+'</th>').join('')+'</tr>';
+  for (const r of rows) h += '<tr>'+r.map(x=>'<td>'+esc(x)+'</td>').join('')+'</tr>';
   return h+'</table>';
 }
 function spark(values, w=180, h=36) {
@@ -58,7 +59,6 @@ function spark(values, w=180, h=36) {
 async function load() {
   const win = $('win').value, q = win ? '&window='+win : '';
   const series = await (await fetch('/telemetry/v1/series?metric=all'+q)).json();
-  const traj = await (await fetch('/telemetry/v1/bench/trajectory')).json();
   $('meta').textContent = series.samples+' solve report(s)';
   const rt = series.rates || {};
   $('tiles').innerHTML =
@@ -85,16 +85,6 @@ async function load() {
           p.mean_util_pct.toFixed(2), p.overflow_edges, p.drift_pct.toFixed(2)]))
       + spark(d.map(p => p.mean_util_pct))
     : '<p class="muted">no congestion snapshots in window</p>';
-  const ts = traj.series || {}, keys = Object.keys(ts).sort();
-  $('traj').innerHTML = keys.length
-    ? table(['metric','points','latest commit','latest','trend'],
-        keys.map(k => {
-          const pts = ts[k], lastPt = pts[pts.length-1];
-          return ['<code>'+k+'</code>', pts.length,
-            '<code>'+(lastPt.commit||'').slice(0,10)+'</code>',
-            lastPt.value.toPrecision(5), spark(pts.map(p=>p.value))];
-        }))
-    : '<p class="muted">no BENCH artifacts pushed yet (benchreport -push)</p>';
 }
 $('win').addEventListener('change', load);
 load(); setInterval(load, 5000);

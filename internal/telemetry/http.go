@@ -52,11 +52,9 @@ func (s *Service) Register(mux *http.ServeMux, wrap func(http.HandlerFunc) http.
 		wrap = func(h http.HandlerFunc) http.HandlerFunc { return h }
 	}
 	mux.HandleFunc("POST /telemetry/v1/reports", wrap(s.HandleIngestReport))
-	mux.HandleFunc("POST /telemetry/v1/bench", wrap(s.HandleIngestBench))
 	mux.HandleFunc("POST /telemetry/v1/scenarios", wrap(s.HandleIngestScenario))
 	mux.HandleFunc("GET /telemetry/v1/scenarios", wrap(s.HandleScenarios))
 	mux.HandleFunc("GET /telemetry/v1/series", wrap(s.HandleSeries))
-	mux.HandleFunc("GET /telemetry/v1/bench/trajectory", wrap(s.HandleTrajectory))
 	mux.HandleFunc("GET /telemetry/v1/stats", wrap(s.HandleStats))
 	mux.HandleFunc("GET /debug/telemetry", wrap(s.HandleDashboard))
 }
@@ -92,55 +90,6 @@ func (s *Service) HandleIngestReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, map[string]any{"stored": 1, "kind": KindReport})
 }
 
-// benchFile mirrors the BENCH_*.json artifact fields the lake keeps
-// (decoupled from internal/benchreport so remote pushers only need the
-// documented artifact shape).
-type benchFile struct {
-	Schema      int               `json:"schema"`
-	GeneratedAt string            `json:"generated_at"`
-	Labels      map[string]string `json:"labels"`
-	Benchmarks  []struct {
-		Name    string             `json:"name"`
-		Metrics map[string]float64 `json:"metrics"`
-	} `json:"benchmarks"`
-}
-
-// HandleIngestBench is POST /telemetry/v1/bench: the body is one
-// BENCH_*.json artifact. The point is commit-keyed by the artifact's
-// vcs_revision label; re-pushing the same commit replaces its point.
-func (s *Service) HandleIngestBench(w http.ResponseWriter, r *http.Request) {
-	var f benchFile
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBytes)).Decode(&f); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding BENCH artifact: %v", err))
-		return
-	}
-	if len(f.Benchmarks) == 0 {
-		httpError(w, http.StatusBadRequest, "BENCH artifact has no benchmark rows")
-		return
-	}
-	rows := make(map[string]map[string]float64, len(f.Benchmarks))
-	for _, b := range f.Benchmarks {
-		if b.Name == "" || len(b.Metrics) == 0 {
-			continue
-		}
-		rows[b.Name] = b.Metrics
-	}
-	if len(rows) == 0 {
-		httpError(w, http.StatusBadRequest, "BENCH artifact rows carry no metrics")
-		return
-	}
-	source := r.URL.Query().Get("source")
-	if source == "" {
-		source = "benchreport"
-	}
-	rec := NewBenchRecord(source, f.Labels["vcs_revision"], f.GeneratedAt, rows)
-	if err := s.store.Append([]Record{rec}); err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"stored": 1, "kind": KindBench, "commit": rec.Commit})
-}
-
 // HandleIngestScenario is POST /telemetry/v1/scenarios: the body is one
 // ScenarioReport; ?source= names the pusher (default "streakload"). The
 // report lands durably before the 202, so a CI soak's verdict survives
@@ -167,8 +116,7 @@ func (s *Service) HandleIngestScenario(w http.ResponseWriter, r *http.Request) {
 }
 
 // HandleScenarios is GET /telemetry/v1/scenarios[?name=...]: the stored
-// scenario runs, oldest first, optionally filtered by scenario name —
-// the robustness trajectory next to the perf one.
+// scenario runs, oldest first, optionally filtered by scenario name.
 func (s *Service) HandleScenarios(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("name")
 	out := []Record{}
@@ -205,12 +153,6 @@ func (s *Service) HandleSeries(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, series)
 }
 
-// HandleTrajectory is GET /telemetry/v1/bench/trajectory: the per-commit
-// BENCH series.
-func (s *Service) HandleTrajectory(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ComputeTrajectory(s.store.Records()))
-}
-
 // HandleStats is GET /telemetry/v1/stats: store and producer counters.
 func (s *Service) HandleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -220,33 +162,11 @@ func (s *Service) HandleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // HandleDashboard is GET /debug/telemetry: a small self-contained HTML
-// view over the series and trajectory endpoints.
+// view over the series endpoint.
 func (s *Service) HandleDashboard(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	io.WriteString(w, dashboardHTML)
-}
-
-// PushBench posts one BENCH artifact (its raw JSON bytes) to the ingest
-// endpoint rooted at baseURL (e.g. http://host:8080). Non-2xx responses
-// become errors carrying the server's message.
-func PushBench(ctx context.Context, baseURL string, artifact []byte) error {
-	url := strings.TrimRight(baseURL, "/") + "/telemetry/v1/bench"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(artifact))
-	if err != nil {
-		return fmt.Errorf("telemetry: building push request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return fmt.Errorf("telemetry: pushing BENCH artifact: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("telemetry: push rejected: %s: %s", resp.Status, bytes.TrimSpace(body))
-	}
-	return nil
 }
 
 // PushScenario posts one scenario report to the ingest endpoint rooted at

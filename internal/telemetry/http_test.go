@@ -101,68 +101,6 @@ func TestIngestReportRejectsNewerSchema(t *testing.T) {
 	}
 }
 
-// TestIngestBenchAndTrajectory: pushed BENCH artifacts come back as
-// per-commit trajectory series, with same-commit re-pushes replacing the
-// point.
-func TestIngestBenchAndTrajectory(t *testing.T) {
-	_, ts := newTestService(t)
-	artifact := func(commit string, ns float64) map[string]any {
-		return map[string]any{
-			"schema":       1,
-			"generated_at": "2026-08-08T00:00:00Z",
-			"labels":       map[string]string{"vcs_revision": commit},
-			"benchmarks": []map[string]any{
-				{"name": "BenchmarkBuildParallel", "metrics": map[string]float64{"ns/op": ns}},
-			},
-		}
-	}
-	for _, a := range []map[string]any{artifact("c1", 100), artifact("c2", 120), artifact("c1", 90)} {
-		resp := postJSON(t, ts.URL+"/telemetry/v1/bench", a)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("bench ingest status = %d", resp.StatusCode)
-		}
-	}
-
-	var tr Trajectory
-	getJSON(t, ts.URL+"/telemetry/v1/bench/trajectory", &tr)
-	if tr.Points != 2 {
-		t.Fatalf("Points = %d, want 2 (c1 re-push replaced)", tr.Points)
-	}
-	series := tr.Series["BenchmarkBuildParallel/ns/op"]
-	vals := map[string]float64{}
-	for _, p := range series {
-		vals[p.Commit] = p.Value
-	}
-	if vals["c1"] != 90 || vals["c2"] != 120 {
-		t.Errorf("trajectory = %+v", series)
-	}
-
-	// An artifact with no rows is rejected.
-	resp := postJSON(t, ts.URL+"/telemetry/v1/bench", map[string]any{"schema": 1})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty artifact status = %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestPushBenchClient exercises the helper cmd/benchreport -push uses,
-// including the error path carrying the server's message.
-func TestPushBenchClient(t *testing.T) {
-	_, ts := newTestService(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	good := []byte(`{"schema":1,"benchmarks":[{"name":"B","metrics":{"ns/op":5}}]}`)
-	if err := PushBench(ctx, ts.URL+"/", good); err != nil {
-		t.Fatalf("push: %v", err)
-	}
-	err := PushBench(ctx, ts.URL, []byte(`{"schema":1}`))
-	if err == nil || !strings.Contains(err.Error(), "no benchmark rows") {
-		t.Errorf("bad-artifact push error = %v", err)
-	}
-}
-
 func TestSeriesBadParams(t *testing.T) {
 	_, ts := newTestService(t)
 	for _, q := range []string{"?metric=bogus", "?window=yesterday", "?window=-5m"} {

@@ -275,45 +275,3 @@ func drift(reports []Record) []DriftPoint {
 	}
 	return out
 }
-
-// TrajectoryPoint is one commit's value of one benchmark metric.
-type TrajectoryPoint struct {
-	TimeMS int64   `json:"t_ms"`
-	Commit string  `json:"commit,omitempty"`
-	Value  float64 `json:"value"`
-}
-
-// Trajectory is the GET /telemetry/v1/bench/trajectory payload: one series
-// per "<benchmark>/<unit>", each ordered by ingest time — the per-commit
-// BENCH curve.
-type Trajectory struct {
-	// Points counts the bench records folded in.
-	Points int `json:"points"`
-	// Series maps "<benchmark>/<unit>" to its commit-ordered values.
-	Series map[string][]TrajectoryPoint `json:"series"`
-}
-
-// ComputeTrajectory folds the bench records into per-metric series.
-func ComputeTrajectory(recs []Record) Trajectory {
-	var bench []Record
-	for _, r := range recs {
-		if r.Kind == KindBench && r.Bench != nil {
-			bench = append(bench, r)
-		}
-	}
-	sort.SliceStable(bench, func(i, j int) bool { return bench[i].TimeMS < bench[j].TimeMS })
-	out := Trajectory{Points: len(bench), Series: make(map[string][]TrajectoryPoint)}
-	for _, r := range bench {
-		for name, units := range r.Bench.Rows {
-			for unit, v := range units {
-				key := name + "/" + unit
-				out.Series[key] = append(out.Series[key], TrajectoryPoint{
-					TimeMS: r.TimeMS,
-					Commit: r.Commit,
-					Value:  v,
-				})
-			}
-		}
-	}
-	return out
-}

@@ -11,15 +11,15 @@ func TestComputeSeriesLatencyQuantiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		recs = append(recs, reportRec(int64(i), "d", "pd", int64(i)))
 	}
-	// One ilp solve, and a bench record the series must ignore.
-	recs = append(recs, reportRec(200, "d", "ilp", 5000), benchRec(201, "c1", 1))
+	// One ilp solve, and a scenario record the series must ignore.
+	recs = append(recs, reportRec(200, "d", "ilp", 5000), scenarioRec(201, "churnchaos", true))
 
 	s, err := ComputeSeries(recs, SeriesOptions{Metric: MetricSolveLatency})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Samples != 101 {
-		t.Errorf("Samples = %d, want 101 (bench excluded)", s.Samples)
+		t.Errorf("Samples = %d, want 101 (scenario excluded)", s.Samples)
 	}
 	pd := s.Latency["pd"]
 	if pd == nil || pd.Count != 100 {
@@ -147,25 +147,6 @@ func TestComputeSeriesDrift(t *testing.T) {
 	}
 	if s.Drift[3].Design != "b" || s.Drift[3].DriftPct != -2 {
 		t.Errorf("b's second point = %+v, want drift -2", s.Drift[3])
-	}
-}
-
-func TestComputeTrajectory(t *testing.T) {
-	recs := []Record{
-		benchRec(200, "c2", 20),
-		benchRec(100, "c1", 10), // out of order: trajectory sorts by time
-		reportRec(300, "d", "pd", 1),
-	}
-	tr := ComputeTrajectory(recs)
-	if tr.Points != 2 {
-		t.Fatalf("Points = %d, want 2", tr.Points)
-	}
-	series := tr.Series["BenchmarkX/ns/op"]
-	if len(series) != 2 {
-		t.Fatalf("series = %+v", tr.Series)
-	}
-	if series[0].Commit != "c1" || series[0].Value != 10 || series[1].Commit != "c2" || series[1].Value != 20 {
-		t.Errorf("trajectory order wrong: %+v", series)
 	}
 }
 

@@ -25,7 +25,7 @@ func scenarioRec(t int64, name string, passed bool) Record {
 
 // TestScenarioRecordSurvivesReplay: scenario records are a first-class
 // stored kind — they must round-trip the WAL framing and boot replay like
-// reports and bench points.
+// reports.
 func TestScenarioRecordSurvivesReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)

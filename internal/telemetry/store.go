@@ -81,7 +81,8 @@ type Store struct {
 
 // OpenStore opens (creating if needed) the segment store under cfg.Dir,
 // replaying every live segment into the working set. Unreadable records —
-// torn tails, checksum mismatches, malformed JSON, newer schemas — are
+// torn tails, checksum mismatches, malformed JSON, newer schemas, unknown
+// kinds — are
 // logged, counted and skipped, never a boot failure.
 func OpenStore(cfg StoreConfig) (*Store, error) {
 	cfg = cfg.withDefaults()
@@ -188,20 +189,9 @@ func (s *Store) replaySegment(seq int) error {
 	}
 }
 
-// admit adds one record to the working set and running aggregates. Bench
-// records are commit-keyed: a new point for an already-seen commit
-// replaces the old one (re-runs on the same commit update in place rather
-// than duplicating the trajectory's x axis).
+// admit appends one record to the working set and folds a report's
+// counters into the running aggregate.
 func (s *Store) admit(seq int, rec Record) {
-	if rec.Kind == KindBench && rec.Commit != "" {
-		for i := range s.recs {
-			old := &s.recs[i]
-			if old.rec.Kind == KindBench && old.rec.Commit == rec.Commit {
-				*old = storedRec{seg: seq, rec: rec}
-				return
-			}
-		}
-	}
 	s.recs = append(s.recs, storedRec{seg: seq, rec: rec})
 	if rec.Kind == KindReport && rec.Report != nil {
 		for k, v := range rec.Report.Counters {
@@ -231,7 +221,7 @@ func decodeLine(line []byte) (Record, error) {
 	if rec.Schema > SchemaVersion {
 		return rec, fmt.Errorf("record schema %d newer than this store's %d", rec.Schema, SchemaVersion)
 	}
-	if rec.Kind != KindReport && rec.Kind != KindBench && rec.Kind != KindScenario {
+	if rec.Kind != KindReport && rec.Kind != KindScenario {
 		return rec, fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
 	return rec, nil
@@ -358,8 +348,7 @@ func (s *Store) retain() {
 // Ingest implements Sink: it appends the batch durably.
 func (s *Store) Ingest(recs []Record) error { return s.Append(recs) }
 
-// Records returns a copy of the working set, in append order (bench
-// records keep the slot of the commit they replaced).
+// Records returns a copy of the working set, in append order.
 func (s *Store) Records() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,7 +1,9 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -22,16 +24,6 @@ func reportRec(t int64, design, method string, durUS int64) Record {
 	}
 }
 
-func benchRec(t int64, commit string, v float64) Record {
-	return Record{
-		Schema: SchemaVersion,
-		Kind:   KindBench,
-		TimeMS: t,
-		Commit: commit,
-		Bench:  &BenchPoint{Rows: map[string]map[string]float64{"BenchmarkX": {"ns/op": v}}},
-	}
-}
-
 func openTestStore(t *testing.T, dir string, mut ...func(*StoreConfig)) *Store {
 	t.Helper()
 	cfg := StoreConfig{Dir: dir, NoSync: true, Logf: t.Logf}
@@ -46,14 +38,14 @@ func openTestStore(t *testing.T, dir string, mut ...func(*StoreConfig)) *Store {
 }
 
 // TestStoreReplay is the restart path: append, close, reopen, and the
-// working set (records, counter aggregate, bench points) must be intact.
+// working set (records, counter aggregate, scenario runs) must be intact.
 func TestStoreReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
 	recs := []Record{
 		reportRec(100, "d1", "PrimalDual", 500),
 		reportRec(200, "d1", "ILP", 900),
-		benchRec(300, "abc123", 42),
+		scenarioRec(300, "churnchaos", true),
 	}
 	if err := s.Append(recs); err != nil {
 		t.Fatal(err)
@@ -68,7 +60,7 @@ func TestStoreReplay(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("replayed %d records, want 3", len(got))
 	}
-	if got[0].Report.Design != "d1" || got[2].Bench.Rows["BenchmarkX"]["ns/op"] != 42 {
+	if got[0].Report.Design != "d1" || got[2].Scenario.Name != "churnchaos" {
 		t.Errorf("replayed records mangled: %+v", got)
 	}
 	if agg := s2.AggregateCounters(); agg["pd.iterations"] != 6 {
@@ -243,40 +235,45 @@ func TestStoreMaxAge(t *testing.T) {
 	}
 }
 
-// TestStoreBenchCommitKeyed: re-pushing a bench artifact for the same
-// commit replaces the point instead of duplicating the trajectory x axis.
-func TestStoreBenchCommitKeyed(t *testing.T) {
+// TestStoreSkipsRetiredBenchRecords: a lake written before the bench
+// record kind was retired may hold "kind":"bench" lines. Replay logs,
+// counts and skips them like any unknown kind; the records around them and
+// the counter aggregate survive.
+func TestStoreSkipsRetiredBenchRecords(t *testing.T) {
 	dir := t.TempDir()
+	var seg strings.Builder
+	for _, payload := range []string{
+		mustJSON(t, reportRec(100, "d1", "pd", 10)),
+		`{"schema":1,"kind":"bench","t_ms":200,"commit":"c1","bench":{"rows":{"BenchmarkX":{"ns/op":42}}}}`,
+		mustJSON(t, scenarioRec(300, "churnchaos", true)),
+	} {
+		fmt.Fprintf(&seg, "%08x %s\n", crc32.ChecksumIEEE([]byte(payload)), payload)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(segPattern, 1)), []byte(seg.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	s := openTestStore(t, dir)
-	if err := s.Append([]Record{benchRec(100, "c1", 10), benchRec(200, "c2", 20)}); err != nil {
+	defer s.Close()
+	got := s.Records()
+	if len(got) != 2 || got[0].Kind != KindReport || got[1].Kind != KindScenario {
+		t.Fatalf("replayed %+v, want the report and the scenario only", got)
+	}
+	if st := s.Stats(); st.ReplaySkipped != 1 {
+		t.Errorf("ReplaySkipped = %d, want 1 (the bench line)", st.ReplaySkipped)
+	}
+	if agg := s.AggregateCounters(); agg["pd.iterations"] != 3 {
+		t.Errorf("counter aggregate = %v, want pd.iterations 3", agg)
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append([]Record{benchRec(300, "c1", 15)}); err != nil {
-		t.Fatal(err)
-	}
-	check := func(s *Store) {
-		t.Helper()
-		recs := s.Records()
-		if len(recs) != 2 {
-			t.Fatalf("%d bench records, want 2 (c1 deduped)", len(recs))
-		}
-		var c1 float64
-		for _, r := range recs {
-			if r.Commit == "c1" {
-				c1 = r.Bench.Rows["BenchmarkX"]["ns/op"]
-			}
-		}
-		if c1 != 15 {
-			t.Errorf("c1 value = %v, want the re-pushed 15", c1)
-		}
-	}
-	check(s)
-	s.Close()
-	// Replay dedupes too: disk keeps both lines, the working set keys by
-	// commit.
-	s2 := openTestStore(t, dir)
-	defer s2.Close()
-	check(s2)
+	return string(data)
 }
 
 // TestStoreConcurrentAppend exercises the mutex under -race: concurrent

@@ -1,13 +1,14 @@
 // Package telemetry is Streak's embedded telemetry lake: a durable home
-// for the per-solve observability reports and BENCH perf artifacts that
-// previously died as stdout or one-shot CI uploads.
+// for the per-solve observability reports and load-scenario verdicts that
+// would otherwise die as stdout or one-shot CI uploads.
 //
 // It has three tiers:
 //
 //   - Ingest: streakd mounts POST /telemetry/v1/reports (an obs.Report,
-//     schema-versioned) and POST /telemetry/v1/bench (a benchreport.File),
-//     and pushes its own solves through a Client with bounded buffering
-//     that drops on backpressure — telemetry never blocks a solve.
+//     schema-versioned) and POST /telemetry/v1/scenarios (a
+//     ScenarioReport), and pushes its own solves through a Client with
+//     bounded buffering that drops on backpressure — telemetry never
+//     blocks a solve.
 //   - Store: an append-only segment store using the same checksummed
 //     fsync'd record framing as the jobs WAL ("<crc32-hex> <json>\n"),
 //     with boot-time replay, torn-tail tolerance, size-based segment
@@ -17,9 +18,8 @@
 //     p50/p90/p99 solve latency by method, fallback-degradation and
 //     audit-violation rates, cache hit/incremental/cold ratios, and
 //     congestion-histogram drift per design — and GET
-//     /telemetry/v1/bench/trajectory returns the per-commit BENCH series
-//     so a perf regression is visible as a curve, not a single -compare
-//     gate. /debug/telemetry renders both as a small HTML dashboard.
+//     /telemetry/v1/scenarios lists the stored scenario runs.
+//     /debug/telemetry renders the series as a small HTML dashboard.
 //
 // Records are distilled, not raw: an ingested obs.Report is reduced to the
 // fields the query tier aggregates (SolveReport), so the lake stays small
@@ -40,8 +40,6 @@ const SchemaVersion = 1
 const (
 	// KindReport is one solve's distilled observability report.
 	KindReport = "report"
-	// KindBench is one BENCH_*.json perf artifact, keyed by commit.
-	KindBench = "bench"
 	// KindScenario is one load/chaos scenario run's report: the program's
 	// identity (name, seed, digest, fault spec), its aggregate latency and
 	// shed numbers, and the end-to-end invariant verdicts (cmd/streakload).
@@ -49,24 +47,22 @@ const (
 )
 
 // Record is one ingested telemetry envelope — exactly one of Report or
-// Bench is set, per Kind.
+// Scenario is set, per Kind.
 type Record struct {
 	// Schema is SchemaVersion at append time.
 	Schema int `json:"schema"`
-	// Kind is KindReport or KindBench.
+	// Kind is KindReport or KindScenario.
 	Kind string `json:"kind"`
 	// TimeMS is the ingest wall-clock in Unix milliseconds; the query
 	// tier's time axis.
 	TimeMS int64 `json:"t_ms"`
-	// Source names the producer ("streakd", "jobs", "benchreport", or
+	// Source names the producer ("streakd", "jobs", "streakload", or
 	// whatever a remote pusher sends).
 	Source string `json:"source,omitempty"`
 	// Commit is the VCS revision of the producing binary when known.
 	Commit string `json:"commit,omitempty"`
 	// Report is the distilled solve report (Kind == KindReport).
 	Report *SolveReport `json:"report,omitempty"`
-	// Bench is the perf artifact point (Kind == KindBench).
-	Bench *BenchPoint `json:"bench,omitempty"`
 	// Scenario is the load/chaos run report (Kind == KindScenario).
 	Scenario *ScenarioReport `json:"scenario,omitempty"`
 }
@@ -121,15 +117,6 @@ type LayerUtil struct {
 	UtilPct float64 `json:"util_pct"`
 	// Hist is the obs.HistBuckets-wide utilization histogram.
 	Hist []int `json:"hist,omitempty"`
-}
-
-// BenchPoint is one BENCH artifact reduced to its metric rows.
-type BenchPoint struct {
-	// GeneratedAt echoes the artifact's timestamp (informational).
-	GeneratedAt string `json:"generated_at,omitempty"`
-	// Rows maps benchmark name to unit to value (ns/op, allocs/op,
-	// route%, ...).
-	Rows map[string]map[string]float64 `json:"rows"`
 }
 
 // DistillReport reduces a full obs.Report to the stored SolveReport:
@@ -258,18 +245,5 @@ func NewReportRecord(source string, sr SolveReport) Record {
 		Source: source,
 		Commit: obs.BuildInfoLabels()["vcs_revision"],
 		Report: &sr,
-	}
-}
-
-// NewBenchRecord wraps a bench point in a stamped envelope. commit may be
-// empty (an artifact built outside a VCS checkout).
-func NewBenchRecord(source, commit, generatedAt string, rows map[string]map[string]float64) Record {
-	return Record{
-		Schema: SchemaVersion,
-		Kind:   KindBench,
-		TimeMS: time.Now().UnixMilli(),
-		Source: source,
-		Commit: commit,
-		Bench:  &BenchPoint{GeneratedAt: generatedAt, Rows: rows},
 	}
 }

@@ -200,7 +200,7 @@ func shiftTopology(ot ObjectTopology, repPins []geom.Point, pinSets [][]geom.Poi
 // are first split at pin locations so no pin can sit in the interior of
 // the moved run — otherwise the shift would disconnect it.
 func shiftTree(t geom.Tree, pins []geom.Point, d int) (geom.Tree, bool) {
-	segs := splitSegsAt(t.Canon().Segs, pins)
+	segs := geom.SplitAt(t.Canon().Segs, pins)
 	best := -1
 	for i, s := range segs {
 		if best == -1 || s.Len() > segs[best].Len() {
@@ -229,28 +229,6 @@ func shiftTree(t geom.Tree, pins []geom.Point, d int) (geom.Tree, bool) {
 		return geom.Tree{}, false
 	}
 	return out, true
-}
-
-// splitSegsAt cuts segments at any of the given points lying in their
-// interiors.
-func splitSegsAt(segs []geom.Seg, pts []geom.Point) []geom.Seg {
-	var out []geom.Seg
-	for _, s := range segs {
-		n := s.Norm()
-		cuts := []geom.Point{n.A, n.B}
-		for _, p := range pts {
-			if n.Contains(p) && p != n.A && p != n.B {
-				cuts = append(cuts, p)
-			}
-		}
-		sort.Slice(cuts, func(i, j int) bool { return cuts[i].Less(cuts[j]) })
-		for i := 0; i+1 < len(cuts); i++ {
-			if cuts[i] != cuts[i+1] {
-				out = append(out, geom.Seg{A: cuts[i], B: cuts[i+1]})
-			}
-		}
-	}
-	return out
 }
 
 // Candidate is a 3-D routing candidate for an object: a 2-D object
