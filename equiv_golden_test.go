@@ -15,7 +15,8 @@ package streak
 // refinement stats, WL and Avg(Reg).
 //
 // Regenerate (prints the golden map literal; only do this to extend
-// coverage, never to paper over a diff):
+// coverage or to re-capture a search whose path a solver change moves on
+// purpose, never to paper over a diff):
 //
 //	STREAK_WRITE_GOLDEN=1 go test -run TestGoldenFingerprints -v .
 //
@@ -51,32 +52,35 @@ const equivScale = benchScale
 
 // goldenFingerprints pins the seed (pre-refactor) outcomes. Keys are
 // "<preset>/<flow>"; values come from STREAK_WRITE_GOLDEN output. The
-// "-search" values were captured on the dense simplex kernel, before it
-// became sparse; the "/post" values on the map-based tree path lengths,
-// before the pooled tree view replaced them.
+// "/post" values were captured on the map-based tree path lengths, before
+// the pooled tree view replaced them. The exact and hier keys of Industry1
+// and Industry3, Industry7's hier keys and every "-search" key were
+// re-captured when the simplex stopped starting negative-cost columns at
+// their upper bounds: the searches changed path, every exact objective
+// stayed equal and every changed hier objective fell to the exact optimum.
 var goldenFingerprints = map[string]string{
-	"Industry1/exact":        "obj=40aafa0000000000 geo=f7cbdd56017d9729 audit=ok",
-	"Industry1/exact-search": "nodes=131 lps=311 iters=82739",
-	"Industry1/hier":         "obj=40ab0a0000000000 geo=2ebb8257164164bb audit=ok",
-	"Industry1/hier-par":     "obj=40bd2d0000000000 geo=e4eeef50cb7c412b audit=ok",
-	"Industry1/hier-search":  "nodes=30 lps=134 iters=8840",
+	"Industry1/exact":        "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
+	"Industry1/exact-search": "nodes=1 lps=1 iters=34",
+	"Industry1/hier":         "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
+	"Industry1/hier-par":     "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
+	"Industry1/hier-search":  "nodes=4 lps=4 iters=34",
 	"Industry1/pd":           "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
 	"Industry1/post":         "geo=5a58fea675bfd2cd vio=0 refine=0/0/0/0/0 viodst=0 wl=40d0874000000000 reg=3ff0000000000000",
 	"Industry1/problem":      "objs=17 cands=204 hash=c861cc3cc586596c",
-	"Industry3/exact":        "obj=40ae7e0000000000 geo=a1398d324a896618 audit=ok",
-	"Industry3/exact-search": "nodes=92 lps=347 iters=129464",
-	"Industry3/hier":         "obj=40ae960000000000 geo=36fff32a83cb3856 audit=ok",
-	"Industry3/hier-par":     "obj=40c3638000000000 geo=f4c962c2bfc711da audit=ok",
-	"Industry3/hier-search":  "nodes=43 lps=185 iters=16175",
+	"Industry3/exact":        "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
+	"Industry3/exact-search": "nodes=14 lps=62 iters=2541",
+	"Industry3/hier":         "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
+	"Industry3/hier-par":     "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
+	"Industry3/hier-search":  "nodes=17 lps=65 iters=1443",
 	"Industry3/pd":           "obj=40ae7e0000000000 geo=838f4f2e86584878 audit=ok",
 	"Industry3/post":         "geo=838f4f2e86584878 vio=0 refine=0/0/0/0/0 viodst=0 wl=40d28f4000000000 reg=3ff0000000000000",
 	"Industry3/problem":      "objs=20 cands=240 hash=eeff75d37d32d31d",
 	"Industry5/pd":           "obj=40d22a36db6db6db geo=730b109c398530fa audit=ok",
 	"Industry5/post":         "geo=730b109c398530fa vio=0 refine=0/0/0/0/0 viodst=0 wl=40f5577000000000 reg=3fec226d6d8b43fb",
 	"Industry5/problem":      "objs=61 cands=732 hash=977c4f614345df7e",
-	"Industry7/hier":         "obj=40b6aa0000000000 geo=c5f7b0c150333057 audit=ok",
-	"Industry7/hier-par":     "obj=40b6aa0000000000 geo=c5f7b0c150333057 audit=ok",
-	"Industry7/hier-search":  "nodes=43 lps=189 iters=7249",
+	"Industry7/hier":         "obj=40b6aa0000000000 geo=871cb205034c89f9 audit=ok",
+	"Industry7/hier-par":     "obj=40b6aa0000000000 geo=871cb205034c89f9 audit=ok",
+	"Industry7/hier-search":  "nodes=17 lps=82 iters=905",
 	"Industry7/pd":           "obj=40b6aa0000000000 geo=cf161fbcdf049ddf audit=ok",
 	"Industry7/post":         "geo=076d20edda26fa8b vio=1 refine=1/0/1/0/2 viodst=0 wl=40da25c000000000 reg=3fea740da740da75",
 	"Industry7/problem":      "objs=15 cands=180 hash=440e06d4ce441187",

@@ -163,7 +163,7 @@ func TestRunCtxCanceledBeforeSolve(t *testing.T) {
 }
 
 // TestRunCtxCancelMidSolve cancels an exact solve on an Industry benchmark
-// whose monolithic ILP runs for tens of seconds: the run must return
+// whose monolithic ILP runs for about ten seconds: the run must return
 // promptly with context.Canceled, leak no goroutines, and not be rescued
 // by the fallback chain (cancellation is the caller giving up).
 func TestRunCtxCancelMidSolve(t *testing.T) {

@@ -56,9 +56,6 @@ type SolveOptions struct {
 	// Incumbent optionally provides a known-feasible starting solution
 	// whose objective primes the pruning bound.
 	Incumbent []float64
-	// MaxNodes bounds the number of explored B&B nodes. Zero means no
-	// limit.
-	MaxNodes int
 }
 
 // Result is the outcome of Solve.
@@ -170,10 +167,6 @@ func Solve(m *Model, opt SolveOptions) Result {
 			break
 		}
 		if !deadline.IsZero() && time.Now().After(deadline) {
-			timedOut = true
-			break
-		}
-		if opt.MaxNodes > 0 && nodes >= opt.MaxNodes {
 			timedOut = true
 			break
 		}

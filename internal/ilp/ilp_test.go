@@ -333,15 +333,6 @@ func TestSolveTimeLimit(t *testing.T) {
 	}
 }
 
-func TestSolveMaxNodes(t *testing.T) {
-	r := rand.New(rand.NewSource(8))
-	m := randomModel(r)
-	res := Solve(m, SolveOptions{MaxNodes: 1})
-	if res.Nodes > 1 {
-		t.Fatalf("explored %d nodes with MaxNodes 1", res.Nodes)
-	}
-}
-
 func TestAddConstraintMergesDuplicates(t *testing.T) {
 	m := NewModel(2)
 	m.AddConstraint([]Term{{0, 1}, {0, 2}, {1, 1}}, 2)
@@ -495,6 +486,77 @@ func sweepModelFloat(trial int) *Model {
 	return m
 }
 
+// sweepModelExact draws the sign pattern of the exact formulation (3):
+// selection binaries costing c - M < 0 on "at most one" rows, positive-cost
+// product variables (eager via AddProduct, or lazy as the exact solver adds
+// them), and eager and lazy capacity rows. Every model also holds one
+// negative-cost binary in no row and one that only a lazy row mentions; no
+// active row prices either, so each must start at its optimal bound.
+func sweepModelExact(trial int) *Model {
+	rng := rand.New(rand.NewSource(int64(20_000 + trial)))
+	nGroups := 3 + rng.Intn(3)
+	per := 2 + rng.Intn(2)
+	nx := nGroups * per
+	nProd := 1 + rng.Intn(3)
+	free, lazyOnly := nx, nx+1
+	m := NewModel(nx + 2 + nProd)
+	cost := func(lo, hi int) float64 {
+		if trial%2 == 0 {
+			return float64(lo + rng.Intn(hi-lo+1)) // integral: degenerate ties
+		}
+		return float64(lo) + rng.Float64()*float64(hi-lo)
+	}
+	groups := make([][]int, nGroups)
+	for g := range groups {
+		terms := make([]Term, per)
+		for k := range terms {
+			v := g*per + k
+			m.SetInteger(v)
+			m.SetObj(v, cost(1, 10)-20) // c - M with M = 20
+			groups[g] = append(groups[g], v)
+			terms[k] = Term{Var: v, Coef: 1}
+		}
+		m.AddSOS(groups[g])
+		m.AddConstraint(terms, 1)
+	}
+	for _, v := range []int{free, lazyOnly} {
+		m.SetInteger(v)
+		m.SetObj(v, -cost(1, 25))
+	}
+	pick := func() int {
+		g := groups[rng.Intn(nGroups)]
+		return g[rng.Intn(len(g))]
+	}
+	m.AddLazyConstraint([]Term{{Var: pick(), Coef: 1}, {Var: lazyOnly, Coef: 1}}, 1)
+	for e := 0; e < nGroups; e++ {
+		var terms []Term
+		for _, vars := range groups {
+			if rng.Intn(3) > 0 {
+				terms = append(terms, Term{Var: vars[rng.Intn(len(vars))], Coef: float64(1 + rng.Intn(2))})
+			}
+		}
+		rhs := float64(1 + rng.Intn(2))
+		if e%2 == 0 {
+			m.AddLazyConstraint(terms, rhs)
+		} else {
+			m.AddConstraint(terms, rhs)
+		}
+	}
+	for p := 0; p < nProd; p++ {
+		y := nx + 2 + p
+		m.SetObj(y, cost(1, 15))
+		g1 := rng.Intn(nGroups)
+		g2 := (g1 + 1 + rng.Intn(nGroups-1)) % nGroups
+		a, b := groups[g1][rng.Intn(per)], groups[g2][rng.Intn(per)]
+		if p%2 == 0 {
+			m.AddProduct(a, b, y)
+		} else {
+			m.AddLazyConstraint([]Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}, {Var: y, Coef: -1}}, 1)
+		}
+	}
+	return m
+}
+
 // onePerGroup enumerates every assignment selecting exactly one variable of
 // each SOS group and returns the best feasible objective. For models with
 // positive costs and nonnegative capacity coefficients that is the true
@@ -544,15 +606,18 @@ func checkOptimum(t *testing.T, trial int, m *Model, res Result, want float64) {
 }
 
 // TestSweepMatchesBruteForce checks SOS branching with lazy-row activation
-// against exhaustive enumeration on 300 random selection models.
+// against exhaustive enumeration on 300 random selection models of each
+// family: positive costs on "at least one" rows, and the exact
+// formulation's negative selection costs, which exercise the simplex start.
 func TestSweepMatchesBruteForce(t *testing.T) {
 	trials := 300
 	if testing.Short() {
 		trials = 30
 	}
 	for trial := 0; trial < trials; trial++ {
-		m := sweepModel(trial)
-		checkOptimum(t, trial, m, Solve(m, SolveOptions{}), bruteForce(m))
+		for _, m := range []*Model{sweepModel(trial), sweepModelExact(trial)} {
+			checkOptimum(t, trial, m, Solve(m, SolveOptions{}), bruteForce(m))
+		}
 	}
 }
 

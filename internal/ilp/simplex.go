@@ -57,6 +57,7 @@ func (st *lpState) reset(n, rows int) {
 	st.n, st.rows = n, rows
 	st.basis = resize(st.basis, rows)
 	st.xB = resize(st.xB, rows)
+	st.used = resize(st.used, n)
 }
 
 // setCols sizes and zeroes the tableau and column vectors for ncols
@@ -77,7 +78,6 @@ func (st *lpState) setCols(ncols int) {
 	st.colHi = resize(st.colHi, ncols)
 	st.cost = resize(st.cost, ncols)
 	st.objRow = resize(st.objRow, ncols)
-	st.used = resize(st.used, st.n)
 	st.price = st.price[:0]
 }
 
@@ -127,11 +127,12 @@ func ScratchCounters() (gets, fresh int64) {
 
 // solveLP minimizes the model objective over the LP relaxation with the
 // given per-variable bounds, using a bounded-variable primal simplex on the
-// tableau held in scr. Rows that start infeasible (possible once branching
-// fixes lower bounds to 1) get Big-M artificial variables. A non-zero
-// deadline or a done context aborts long solves with lpIterLimit so the
-// branch-and-bound time limit and cancellation hold even when a single
-// relaxation is expensive.
+// tableau held in scr. Every structural in an active row starts at its
+// lower bound; a row that start violates (a negative right-hand side, or
+// lower bounds that branching fixed to 1) gets a Big-M artificial. A
+// non-zero deadline or a done context aborts long solves with lpIterLimit
+// so the branch-and-bound time limit and cancellation hold even when a
+// single relaxation is expensive.
 //
 // Set-up touches only each row's terms: the tableau arrives zeroed, so the
 // starting activity, the negation of an infeasible-start row and the
@@ -155,15 +156,11 @@ func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64
 		return lpResult{status: lpOptimal, x: []float64{}}
 	}
 
-	// Nonbasic structurals start at the bound nearer the objective descent
-	// direction to reduce iterations.
-	startUpper := func(j int) bool {
-		return m.obj[j] < 0 && !math.IsInf(hi[j], 1) && lo[j] != hi[j]
-	}
-
-	// Starting basis: each row's slack at the start point, summed over the
-	// row's terms in ascending column order. A row that starts infeasible
-	// (negative slack) is negated and takes an artificial column instead.
+	// Starting basis: every structural in an active row starts nonbasic at
+	// its lower bound, and each row's slack at that point is summed over the
+	// row's terms in ascending column order. A row that x = lo satisfies
+	// starts on its slack; one that it violates is negated and takes an
+	// artificial column instead.
 	st := &scr.st
 	st.reset(n, rows)
 	basis, xB := st.basis, st.xB
@@ -171,11 +168,8 @@ func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64
 	for i, con := range cons {
 		act := 0.0
 		for _, tm := range con.terms {
-			v := lo[tm.Var]
-			if startUpper(tm.Var) {
-				v = hi[tm.Var]
-			}
-			act += tm.Coef * v
+			act += tm.Coef * lo[tm.Var]
+			st.used[tm.Var] = true
 		}
 		if slack := con.rhs - act; slack >= 0 {
 			basis[i], xB[i] = n+i, slack
@@ -186,7 +180,9 @@ func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64
 	}
 
 	// Column layout: [0,n) structural, [n,n+rows) slack, then artificials.
-	// Bounds per column; artificials and slacks are [0, +inf).
+	// Bounds per column; artificials and slacks are [0, +inf). A structural
+	// in no active row is already at its optimum once it sits at the bound
+	// its cost points to: the upper one when the cost is negative.
 	ncols := n + rows + nart
 	st.setCols(ncols)
 	copy(st.colLo, lo)
@@ -195,7 +191,7 @@ func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64
 		st.colHi[j] = inf
 	}
 	for j := 0; j < n; j++ {
-		st.atUpper[j] = startUpper(j)
+		st.atUpper[j] = !st.used[j] && m.obj[j] < 0
 	}
 
 	// Big-M cost for artificials, scaled to dominate any structural cost.
@@ -225,7 +221,6 @@ func (m *Model) solveLP(ctx context.Context, cons []constraint, lo, hi []float64
 		}
 		for _, tm := range con.terms {
 			row[tm.Var] = sign * tm.Coef
-			st.used[tm.Var] = true
 		}
 		row[n+i] = sign
 		st.inBasis[b] = true

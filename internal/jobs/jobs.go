@@ -525,13 +525,13 @@ func (m *Manager) Cancel(ctx context.Context, id string) (View, error) {
 			cancel()
 		}
 		return v, nil
-	default: // Pending / Interrupted: cancel in place.
+	default: // Pending / Interrupted: cancel in place, counted first.
+		m.rec.Add(obs.CounterJobsCanceled, 1)
 		j.state = Canceled
 		j.updated = time.Now()
 		v := j.view()
 		m.mu.Unlock()
 		m.append(Record{JobID: id, State: Canceled, Time: v.Updated, Attempt: v.Attempts})
-		m.rec.Add(obs.CounterJobsCanceled, 1)
 		m.publish(v)
 		return v, nil
 	}
@@ -727,25 +727,27 @@ func (m *Manager) execute(id string) {
 	userCancel := j.userCancel
 	m.mu.Unlock()
 
+	// Each outcome is counted before finish makes it visible, so a watcher
+	// that sees the new state also reads its counter.
 	now := time.Now()
 	switch {
 	case err == nil:
-		m.finish(j, Succeeded, "", result, now)
 		m.rec.Add(obs.CounterJobsSucceeded, 1)
+		m.finish(j, Succeeded, "", result, now)
 	case userCancel:
-		m.finish(j, Canceled, "canceled by client", nil, now)
 		m.rec.Add(obs.CounterJobsCanceled, 1)
+		m.finish(j, Canceled, "canceled by client", nil, now)
 	case m.hardCtx.Err() != nil:
 		// The manager is being torn down: persist the interruption so the
 		// next boot retries the job, exactly like a crash would.
-		m.finish(j, Interrupted, fmt.Sprintf("interrupted on attempt %d (shutdown): %v", attempt, err), nil, now)
 		m.rec.Add(obs.CounterJobsInterrupted, 1)
+		m.finish(j, Interrupted, fmt.Sprintf("interrupted on attempt %d (shutdown): %v", attempt, err), nil, now)
 	case IsTerminal(err):
+		m.rec.Add(obs.CounterJobsFailed, 1)
 		m.finish(j, Failed, err.Error(), nil, now)
-		m.rec.Add(obs.CounterJobsFailed, 1)
 	case attempt >= m.maxAttemptsOf(j):
-		m.finish(j, Failed, fmt.Sprintf("attempt %d/%d: %v (retry budget exhausted)", attempt, m.maxAttemptsOf(j), err), nil, now)
 		m.rec.Add(obs.CounterJobsFailed, 1)
+		m.finish(j, Failed, fmt.Sprintf("attempt %d/%d: %v (retry budget exhausted)", attempt, m.maxAttemptsOf(j), err), nil, now)
 	default:
 		// Retryable: back off exponentially with jitter, persist the
 		// PENDING transition so a restart retries without waiting.

@@ -58,9 +58,20 @@ func okRunner(result string) Runner {
 	}
 }
 
+// slowSucceedStore holds each SUCCEEDED append for 50 ms, so a watcher
+// sees the job succeed well before the worker that finished it moves on.
+type slowSucceedStore struct{ *MemStore }
+
+func (s slowSucceedStore) Append(ctx context.Context, rec Record) error {
+	if rec.State == Succeeded {
+		time.Sleep(50 * time.Millisecond)
+	}
+	return s.MemStore.Append(ctx, rec)
+}
+
 func TestSubmitRunsToSuccess(t *testing.T) {
 	store := NewMemStore()
-	m := newManager(t, store, okRunner(`{"ok":true}`))
+	m := newManager(t, slowSucceedStore{store}, okRunner(`{"ok":true}`))
 	v, existed, err := m.Submit(context.Background(), Spec{Design: json.RawMessage(`{}`)}, "")
 	if err != nil || existed {
 		t.Fatalf("Submit = %+v existed=%v err=%v", v, existed, err)
@@ -72,11 +83,15 @@ func TestSubmitRunsToSuccess(t *testing.T) {
 	if got.Attempts != 1 || string(got.Result) != `{"ok":true}` || got.Error != "" {
 		t.Errorf("final view = %+v", got)
 	}
+	// The counter is read while the SUCCEEDED append is still sleeping.
 	st := m.StatsSnapshot()
 	if st.Counters["jobs.submitted"] != 1 || st.Counters["jobs.succeeded"] != 1 {
 		t.Errorf("counters = %+v", st.Counters)
 	}
-	// Journal: submit PENDING, RUNNING, SUCCEEDED.
+	// Journal, once the worker is done: submit PENDING, RUNNING, SUCCEEDED.
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	if store.Len() != 3 {
 		t.Errorf("journal has %d records, want 3", store.Len())
 	}
@@ -290,7 +305,17 @@ func TestBeginDrainStopsPendingPickup(t *testing.T) {
 }
 
 func TestWatchDeliversTransitions(t *testing.T) {
-	m := newManager(t, NewMemStore(), okRunner(`{}`))
+	// The attempt waits for the subscription: a job that finished first
+	// would publish its terminal event to no one.
+	subscribed := make(chan struct{})
+	m := newManager(t, NewMemStore(), func(ctx context.Context, spec Spec, rec *obs.Recorder, attempt int) (json.RawMessage, error) {
+		select {
+		case <-subscribed:
+			return json.RawMessage(`{}`), nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
 	v, _, err := m.Submit(context.Background(), Spec{Design: json.RawMessage(`{}`)}, "")
 	if err != nil {
 		t.Fatal(err)
@@ -300,6 +325,7 @@ func TestWatchDeliversTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
+	close(subscribed)
 	deadline := time.After(10 * time.Second)
 	var states []State
 	for {
