@@ -24,10 +24,11 @@
 // makes client retries safe), GET /jobs/{id} polls status + result, DELETE
 // cancels, and GET /jobs/{id}/events streams live solver progress. With
 // -jobs-dir set, every job state transition is journaled to a checksummed
-// fsync'd WAL in that directory and replayed at boot, so a crash or
-// restart recovers unfinished jobs — interrupted solves retry with
-// exponential backoff up to -job-retries attempts. Without -jobs-dir the
-// tier runs on an in-memory store (no durability).
+// fsync'd WAL in that directory (a jobs.wal from an older streakd becomes
+// its first segment) and replayed at boot, so a crash or restart recovers
+// unfinished jobs — interrupted solves retry with exponential backoff up
+// to -job-retries attempts. Without -jobs-dir the tier runs on an
+// in-memory store (no durability).
 //
 // Solves are served through a content-addressed cache (bounded by
 // -cache-size): identical designs hit instantly, and near-duplicates — the
@@ -50,9 +51,11 @@
 // (-telemetry-buffer) drops the record and counts the drop.
 //
 // With -record-dir set, every accepted (validated) /route and /jobs body
-// is captured into a bounded ring of JSONL segments in that directory —
-// raw material for record/replay load testing: cmd/streakload -replay
-// fires a captured window back at a daemon with the original spacing.
+// is captured into a bounded ring of checksummed segments in that
+// directory (older capture-*.jsonl files are not replayed) — raw material
+// for record/replay load testing: cmd/streakload -replay fires a captured
+// window back at a daemon with the original spacing. The WAL, the lake
+// and the ring are one segment log (internal/seglog).
 //
 // -faultinject arms deterministic faults at the compiled-in chaos sites
 // (see internal/faultinject; e.g. "pd.solve=delay:2s@3" stalls the third
@@ -116,8 +119,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal, ready c
 		telemBuffer  = fs.Int("telemetry-buffer", 256, "telemetry client buffer; pushes beyond it are dropped, never awaited")
 		telemSegMB   = fs.Int("telemetry-segment-mb", 2, "telemetry segment rotation size in MiB")
 		telemKeep    = fs.Int("telemetry-retain", 16, "telemetry segments kept; rotation retires the oldest beyond this")
-		telemMaxAge  = fs.Duration("telemetry-max-age", 0, "retire telemetry segments whose newest record is older than this (0 = keep until -telemetry-retain evicts)")
-		recordDir    = fs.String("record-dir", "", "capture accepted /route and /jobs request bodies into a bounded ring of JSONL segments in this directory (replay with streakload -replay)")
+		recordDir    = fs.String("record-dir", "", "capture accepted /route and /jobs request bodies into a bounded ring of checksummed segments in this directory (replay with streakload -replay)")
 		recordSegKB  = fs.Int("record-segment-kb", 4096, "capture segment rotation size in KiB")
 		recordKeep   = fs.Int("record-retain", 8, "capture segments kept; rotation deletes the oldest beyond this")
 	)
@@ -163,7 +165,6 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal, ready c
 			Dir:          *telemDir,
 			SegmentBytes: int64(*telemSegMB) << 20,
 			MaxSegments:  *telemKeep,
-			MaxAge:       *telemMaxAge,
 			Logf:         logf,
 		})
 		if err != nil {

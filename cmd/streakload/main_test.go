@@ -31,7 +31,7 @@ func startDaemon(t *testing.T, faultSpec string) (*server.Server, *httptest.Serv
 		}
 		base = faultinject.With(base, plan)
 	}
-	store, err := telemetry.OpenStore(telemetry.StoreConfig{Dir: t.TempDir(), NoSync: true, Logf: t.Logf})
+	store, err := telemetry.OpenStore(telemetry.StoreConfig{Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package jobs is streakd's durable async tier: submitted solves become
 // jobs that survive daemon restarts. Every state transition is appended to
-// a pluggable Store — in-memory for tests, a checksummed fsync'd WAL for
-// production — and replayed at boot, so a crash mid-solve recovers the job
+// a pluggable Store — in-memory for tests, for production a checksummed
+// fsync'd WAL on the shared segment log (internal/seglog) — and replayed
+// at boot, so a crash mid-solve recovers the job
 // instead of dropping it: RUNNING jobs found in the journal are marked
 // INTERRUPTED and re-enqueued up to a per-job retry budget with
 // exponential backoff + jitter.

@@ -1,40 +1,39 @@
 package jobs
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
-
-	"context"
 
 	"repro/internal/faultinject"
+	"repro/internal/seglog"
 )
 
-// walFile is the journal's file name inside the WAL directory.
-const walFile = "jobs.wal"
+const (
+	// walName names the journal's segments: jobs-<seq>.seg.
+	walName = "jobs"
+	// walSegmentBytes rotates the journal. Every segment is kept: only a
+	// compaction that knows which jobs are finished may drop job records.
+	walSegmentBytes = 4 << 20
+	// legacyWAL is the single journal file written before the segment
+	// log, in the same framing.
+	legacyWAL = "jobs.wal"
+)
 
 // WAL is the durable Store: an append-only journal of job state
-// transitions, one record per line, each line checksummed and fsync'd so a
-// crash loses at most the record being written when the power went out.
-//
-// Record framing is textual — "<crc32-hex> <json>\n" — which keeps the
-// journal greppable during an incident and makes tail corruption
-// detectable: a line whose checksum does not match its payload, or a final
-// line without its newline (a torn write), is skipped with a log line and
-// counted, never a boot failure. Because the journal is single-writer
-// append-only, anything before the tail is intact by construction.
+// transitions on a segment log (internal/seglog), one checksummed record
+// per transition, fsync'd before Append returns, so a crash loses at most
+// the record being written when the power went out. Replay skips torn,
+// corrupt and undecodable records with a log line and a count, never a
+// boot failure.
 type WAL struct {
-	path string
+	dir  string
 	logf func(format string, args ...any)
-
-	mu sync.Mutex
-	f  *os.File
+	log  *seglog.Log
 }
 
 // OpenWAL opens (creating if needed) the journal under dir. logf receives
@@ -43,19 +42,39 @@ func OpenWAL(dir string, logf func(format string, args ...any)) (*WAL, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("jobs: creating WAL dir: %w", err)
+	if err := adoptLegacy(dir, logf); err != nil {
+		return nil, err
 	}
-	path := filepath.Join(dir, walFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	log, err := seglog.Open(seglog.Config{Dir: dir, Name: walName, SegmentBytes: walSegmentBytes, Sync: true, Logf: logf})
 	if err != nil {
 		return nil, fmt.Errorf("jobs: opening WAL: %w", err)
 	}
-	return &WAL{path: path, logf: logf, f: f}, nil
+	return &WAL{dir: dir, logf: logf, log: log}, nil
 }
 
-// Append writes one checksummed record line and fsyncs it: when Append
-// returns nil the transition survives a crash.
+// adoptLegacy makes a jobs.wal journal the first segment when the
+// directory holds none yet. os.Link never replaces an existing segment.
+func adoptLegacy(dir string, logf func(format string, args ...any)) error {
+	legacy := filepath.Join(dir, legacyWAL)
+	err := os.Link(legacy, seglog.Path(dir, walName, 1))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if errors.Is(err, fs.ErrExist) {
+		logf("jobs: leaving %s in place: the journal already has segments", legacy)
+		return nil
+	}
+	if err == nil {
+		err = os.Remove(legacy)
+	}
+	if err != nil {
+		return fmt.Errorf("jobs: adopting %s: %w", legacy, err)
+	}
+	return nil
+}
+
+// Append writes one record and fsyncs it: when Append returns nil the
+// transition survives a crash.
 func (w *WAL) Append(ctx context.Context, rec Record) error {
 	if err := faultinject.Fire(ctx, faultinject.JobsStoreAppend); err != nil {
 		return err
@@ -64,14 +83,8 @@ func (w *WAL) Append(ctx context.Context, rec Record) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encoding WAL record: %w", err)
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(data), data)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.f.WriteString(line); err != nil {
+	if _, err := w.log.Append(data); err != nil {
 		return fmt.Errorf("jobs: appending WAL record: %w", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("jobs: syncing WAL: %w", err)
 	}
 	return nil
 }
@@ -84,74 +97,27 @@ func (w *WAL) Replay(ctx context.Context, fn func(Record) error) (int, error) {
 	if err := faultinject.Fire(ctx, faultinject.JobsStoreReplay); err != nil {
 		return 0, err
 	}
-	rf, err := os.Open(w.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
+	decode := func(payload []byte) (Record, error) {
+		rec, err := decodeRecord(payload)
+		if err == nil && faultinject.Corrupt(ctx, faultinject.JobsStoreReplay) {
+			err = errors.New("record corrupted by fault injection")
 		}
-		return 0, fmt.Errorf("jobs: opening WAL for replay: %w", err)
+		return rec, err
 	}
-	defer rf.Close()
-
-	skipped := 0
-	r := bufio.NewReaderSize(rf, 1<<20)
-	for lineNo := 1; ; lineNo++ {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			if len(bytes.TrimSpace(line)) > 0 {
-				// A final line without its newline is a torn write: the
-				// process died mid-append. The record is lost; the journal
-				// before it is intact.
-				skipped++
-				w.logf("jobs: WAL replay: skipping torn record at line %d (%d bytes, no newline)", lineNo, len(line))
-			}
-			return skipped, nil
-		}
-		if err != nil {
-			return skipped, fmt.Errorf("jobs: reading WAL: %w", err)
-		}
-		rec, perr := decodeWALLine(line)
-		if perr == nil && faultinject.Corrupt(ctx, faultinject.JobsStoreReplay) {
-			perr = fmt.Errorf("record corrupted by fault injection")
-		}
-		if perr != nil {
-			skipped++
-			w.logf("jobs: WAL replay: skipping unreadable record at line %d: %v", lineNo, perr)
-			continue
-		}
-		if err := fn(rec); err != nil {
-			return skipped, err
-		}
-	}
+	return seglog.Replay(w.dir, walName, w.logf, decode, func(_ int, rec Record) error { return fn(rec) })
 }
 
-// decodeWALLine parses and checksums one journal line.
-func decodeWALLine(line []byte) (Record, error) {
+// decodeRecord parses one journal payload.
+func decodeRecord(payload []byte) (Record, error) {
 	var rec Record
-	line = bytes.TrimRight(line, "\n")
-	crcHex, payload, ok := bytes.Cut(line, []byte(" "))
-	if !ok {
-		return rec, fmt.Errorf("no checksum separator")
-	}
-	var want uint32
-	if _, err := fmt.Sscanf(string(crcHex), "%08x", &want); err != nil {
-		return rec, fmt.Errorf("bad checksum field %q", crcHex)
-	}
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return rec, fmt.Errorf("checksum mismatch (want %08x, got %08x)", want, got)
-	}
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return rec, fmt.Errorf("bad record JSON: %w", err)
 	}
 	if rec.JobID == "" {
-		return rec, fmt.Errorf("record without job ID")
+		return rec, errors.New("record without job ID")
 	}
 	return rec, nil
 }
 
-// Close closes the journal file.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
-}
+// Close closes the journal.
+func (w *WAL) Close() error { return w.log.Close() }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/seglog"
 )
 
 func walRecord(id string, st State, attempt int) Record {
@@ -104,7 +106,6 @@ func TestWALTornTailSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
 	if err := w.Append(ctx, walRecord("a", Pending, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestWALTornTailSkipped(t *testing.T) {
 
 	// Simulate a crash mid-append: chop the final newline and half the
 	// last record off the file.
-	path := filepath.Join(dir, walFile)
+	path := seglog.Path(dir, walName, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +133,27 @@ func TestWALTornTailSkipped(t *testing.T) {
 	}
 	if len(logged) == 0 || !strings.Contains(strings.Join(logged, "\n"), "torn") {
 		t.Errorf("torn tail not logged: %q", logged)
+	}
+	w.Close()
+
+	// The restarted daemon accepts a new job. Its submit must not be
+	// glued onto the torn fragment and lost at the next boot.
+	w2, err := OpenWAL(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w2.Append(ctx, walRecord("b", Pending, 0)); err != nil {
+		t.Fatal(err)
+	}
+	w2.Close()
+	w3, err := OpenWAL(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.Close()
+	got, skipped = replayAll(t, w3)
+	if len(got) != 2 || got[1].JobID != "b" || got[1].Spec == nil || skipped != 1 {
+		t.Fatalf("after restart: %d records, %d skipped, want a and b's submit, 1 skipped: %+v", len(got), skipped, got)
 	}
 }
 
@@ -155,7 +177,7 @@ func TestWALChecksumMismatchSkipped(t *testing.T) {
 
 	// Flip bytes inside the middle record's payload: its checksum no
 	// longer matches, but the records around it stay intact.
-	path := filepath.Join(dir, walFile)
+	path := seglog.Path(dir, walName, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +200,8 @@ func TestWALChecksumMismatchSkipped(t *testing.T) {
 func TestWALGarbageLinesSkipped(t *testing.T) {
 	dir := t.TempDir()
 	// Hand-write a journal with every corruption flavor around one good
-	// record.
+	// record, under the single-file name used before the segment log: the
+	// open adopts it as the first segment.
 	good := walRecord("a", Pending, 0)
 	data, err := json.Marshal(good)
 	if err != nil {
@@ -189,20 +212,37 @@ func TestWALGarbageLinesSkipped(t *testing.T) {
 		"00000000 {not json}\n" + // checksum matches nothing
 		encodeTestLine(t, data) +
 		encodeTestLine(t, []byte(`{"state":"PENDING"}`)) // valid frame, empty job ID
-	if err := os.WriteFile(filepath.Join(dir, walFile), []byte(content), 0o644); err != nil {
+	legacy := filepath.Join(dir, legacyWAL)
+	if err := os.WriteFile(legacy, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	w, err := OpenWAL(dir, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
 	got, skipped := replayAll(t, w)
 	if len(got) != 1 || got[0].JobID != "a" {
 		t.Fatalf("good record lost among garbage: %+v", got)
 	}
 	if skipped != 4 {
 		t.Errorf("skipped = %d, want 4", skipped)
+	}
+	w.Close()
+
+	// A jobs.wal next to existing segments never replaces one.
+	if err := os.WriteFile(legacy, []byte(encodeTestLine(t, []byte(`{"job":"z","state":"PENDING"}`))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := OpenWAL(dir, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if got, _ := replayAll(t, w2); len(got) != 1 || got[0].JobID != "a" {
+		t.Fatalf("legacy file replaced the journal: %+v", got)
+	}
+	if _, err := os.Stat(legacy); err != nil {
+		t.Errorf("legacy file next to segments was not left alone: %v", err)
 	}
 }
 

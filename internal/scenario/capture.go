@@ -1,23 +1,19 @@
 package scenario
 
 // Record/replay. streakd -record-dir hands each accepted /route and
-// /jobs body to a Capture, which keeps a bounded ring of JSONL segment
-// files on disk. A captured window of live traffic becomes a Program via
+// /jobs body to a Capture, which keeps a bounded ring of segment files on
+// disk. A captured window of live traffic becomes a Program via
 // ProgramFromCapture and replays through cmd/streakload -replay — the
 // bug that only happens under "whatever production was doing at 3am"
 // becomes a seeded regression.
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 	"time"
 
+	"repro/internal/seglog"
 	"repro/internal/signal"
 )
 
@@ -35,24 +31,17 @@ type CapturedRequest struct {
 	Body json.RawMessage `json:"body"`
 }
 
-// Capture is a ring of JSONL segment files holding recent request
-// bodies. Safe for concurrent Record calls. Total disk use is bounded by
-// keep segments of ~segBytes each.
+// captureName names the ring's segments: capture-<seq>.seg.
+const captureName = "capture"
+
+// Capture is a ring of segment files (internal/seglog) holding recent
+// request bodies. Safe for concurrent Record calls. Total disk use is
+// bounded by keep segments of ~segBytes each. Records reach the OS one
+// write each but are never fsync'd: the ring is a debugging aid.
 type Capture struct {
-	dir      string
-	segBytes int64
-	keep     int
-	now      func() time.Time
-
-	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	written int64
-	seq     int
+	log *seglog.Log
+	now func() time.Time
 }
-
-// Capture file naming: capture-%06d.jsonl, monotonically increasing.
-const capPrefix, capSuffix = "capture-", ".jsonl"
 
 // OpenCapture opens (creating if needed) a capture ring in dir. Segments
 // rotate at segBytes (default 4 MiB if <= 0) and at most keep segments
@@ -65,22 +54,11 @@ func OpenCapture(dir string, segBytes int64, keep int) (*Capture, error) {
 	if keep <= 0 {
 		keep = 8
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("scenario: capture dir: %w", err)
-	}
-	c := &Capture{dir: dir, segBytes: segBytes, keep: keep, now: time.Now}
-	segs, err := captureSegments(dir)
+	log, err := seglog.Open(seglog.Config{Dir: dir, Name: captureName, SegmentBytes: segBytes, Keep: keep})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: opening capture: %w", err)
 	}
-	if n := len(segs); n > 0 {
-		fmt.Sscanf(filepath.Base(segs[n-1]), capPrefix+"%06d"+capSuffix, &c.seq)
-		c.seq++
-	}
-	if err := c.rotateLocked(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return &Capture{log: log, now: time.Now}, nil
 }
 
 // Record appends one request to the ring. Errors are returned, not
@@ -95,116 +73,39 @@ func (c *Capture) Record(path, query string, body []byte) error {
 	if err != nil {
 		return fmt.Errorf("scenario: capture encode: %w", err)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.w == nil {
-		return fmt.Errorf("scenario: capture closed")
-	}
-	if c.written > 0 && c.written+int64(len(line))+1 > c.segBytes {
-		if err := c.rotateLocked(); err != nil {
-			return err
-		}
-	}
-	n, err := c.w.Write(append(line, '\n'))
-	c.written += int64(n)
-	if err != nil {
+	if _, err := c.log.Append(line); err != nil {
 		return fmt.Errorf("scenario: capture write: %w", err)
-	}
-	// Flush per record: a capture that loses its tail on crash is useless
-	// for reproducing the crash.
-	return c.w.Flush()
-}
-
-// Close flushes and closes the current segment.
-func (c *Capture) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.w == nil {
-		return nil
-	}
-	ferr := c.w.Flush()
-	cerr := c.f.Close()
-	c.w, c.f = nil, nil
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
-}
-
-// rotateLocked closes the current segment, opens the next, and prunes
-// the ring down to keep segments. Caller holds c.mu.
-func (c *Capture) rotateLocked() error {
-	if c.w != nil {
-		c.w.Flush()
-		c.f.Close()
-	}
-	name := filepath.Join(c.dir, fmt.Sprintf("%s%06d%s", capPrefix, c.seq, capSuffix))
-	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("scenario: capture segment: %w", err)
-	}
-	c.f, c.w, c.written = f, bufio.NewWriter(f), 0
-	c.seq++
-	segs, err := captureSegments(c.dir)
-	if err != nil {
-		return err
-	}
-	for len(segs) > c.keep {
-		if err := os.Remove(segs[0]); err != nil {
-			return fmt.Errorf("scenario: capture prune: %w", err)
-		}
-		segs = segs[1:]
 	}
 	return nil
 }
 
-// captureSegments lists the ring's segment files, oldest first.
-func captureSegments(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: capture dir: %w", err)
-	}
-	var segs []string
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, capPrefix) && strings.HasSuffix(name, capSuffix) {
-			segs = append(segs, filepath.Join(dir, name))
-		}
-	}
-	sort.Strings(segs)
-	return segs, nil
-}
+// Close closes the current segment.
+func (c *Capture) Close() error { return c.log.Close() }
 
-// ReadCapture loads every request in the ring, oldest first. Lines that
-// fail to decode are skipped with a count, not fatal — a half-written
-// tail after a crash must not poison the rest of the capture.
+// ReadCapture loads every request in the ring, oldest first. Records that
+// are torn, fail their checksum or do not decode are skipped with a
+// count, not fatal — a half-written tail after a crash must not poison
+// the rest of the capture.
 func ReadCapture(dir string) (reqs []CapturedRequest, skipped int, err error) {
-	segs, err := captureSegments(dir)
+	skipped, err = seglog.Replay(dir, captureName, nil, decodeCaptured, func(_ int, cr CapturedRequest) error {
+		reqs = append(reqs, cr)
+		return nil
+	})
 	if err != nil {
-		return nil, 0, err
-	}
-	for _, seg := range segs {
-		f, err := os.Open(seg)
-		if err != nil {
-			return nil, 0, fmt.Errorf("scenario: capture read: %w", err)
-		}
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-		for sc.Scan() {
-			var cr CapturedRequest
-			if json.Unmarshal(sc.Bytes(), &cr) != nil || cr.Path == "" {
-				skipped++
-				continue
-			}
-			reqs = append(reqs, cr)
-		}
-		serr := sc.Err()
-		f.Close()
-		if serr != nil {
-			return nil, 0, fmt.Errorf("scenario: capture scan %s: %w", seg, serr)
-		}
+		return nil, 0, fmt.Errorf("scenario: reading capture: %w", err)
 	}
 	return reqs, skipped, nil
+}
+
+func decodeCaptured(payload []byte) (CapturedRequest, error) {
+	var cr CapturedRequest
+	if err := json.Unmarshal(payload, &cr); err != nil {
+		return cr, err
+	}
+	if cr.Path == "" {
+		return cr, errors.New("captured request without path")
+	}
+	return cr, nil
 }
 
 // ProgramFromCapture turns captured traffic into a replayable Program.

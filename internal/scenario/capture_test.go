@@ -139,3 +139,8 @@ func TestCaptureRing(t *testing.T) {
 		t.Fatalf("reopen did not advance segment numbering: %v -> %v", segs, segs2)
 	}
 }
+
+// captureSegments lists the ring's segment files, oldest first.
+func captureSegments(dir string) ([]string, error) {
+	return filepath.Glob(filepath.Join(dir, captureName+"-*.seg"))
+}

@@ -16,7 +16,8 @@
 //     Poisson plus square-wave bursts). Same seed, same program — byte
 //     for byte, which is what makes a chaos failure reproducible.
 //   - Capture: streakd -record-dir keeps a ring of live request bodies
-//     (capture.go); ProgramFromCapture replays them.
+//     on the shared segment log (capture.go, internal/seglog);
+//     ProgramFromCapture replays them.
 //   - Files: a Program round-trips through JSON.
 //
 // cmd/streakload fires programs at a running daemon and checks the

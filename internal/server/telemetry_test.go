@@ -64,7 +64,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // the store and come back from the series endpoint, and /metrics exposes
 // the producer counters.
 func TestTelemetryWiredIntoSolvePath(t *testing.T) {
-	store, err := telemetry.OpenStore(telemetry.StoreConfig{Dir: t.TempDir(), NoSync: true, Logf: t.Logf})
+	store, err := telemetry.OpenStore(telemetry.StoreConfig{Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTelemetryWiredIntoSolvePath(t *testing.T) {
 // TestTelemetryAsyncJobAttemptsRecorded: async job attempts are pushed
 // into the lake with source "jobs" and their attempt number.
 func TestTelemetryAsyncJobAttemptsRecorded(t *testing.T) {
-	store, err := telemetry.OpenStore(telemetry.StoreConfig{Dir: t.TempDir(), NoSync: true, Logf: t.Logf})
+	store, err := telemetry.OpenStore(telemetry.StoreConfig{Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

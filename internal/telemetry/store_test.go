@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // reportRec builds a minimal report record with a controlled timestamp.
@@ -24,9 +23,12 @@ func reportRec(t int64, design, method string, durUS int64) Record {
 	}
 }
 
+// segPattern is the lake's segment file name.
+const segPattern = "telemetry-%06d.seg"
+
 func openTestStore(t *testing.T, dir string, mut ...func(*StoreConfig)) *Store {
 	t.Helper()
-	cfg := StoreConfig{Dir: dir, NoSync: true, Logf: t.Logf}
+	cfg := StoreConfig{Dir: dir, Logf: t.Logf}
 	for _, m := range mut {
 		m(&cfg)
 	}
@@ -93,12 +95,26 @@ func TestStoreTornTail(t *testing.T) {
 	f.Close()
 
 	s2 := openTestStore(t, dir)
-	defer s2.Close()
 	if got := s2.Records(); len(got) != 2 {
 		t.Fatalf("replayed %d records past the torn tail, want 2", len(got))
 	}
 	if st := s2.Stats(); st.ReplaySkipped != 1 {
 		t.Errorf("ReplaySkipped = %d, want 1", st.ReplaySkipped)
+	}
+
+	// The restarted lake takes a new batch. It must not be glued onto the
+	// torn fragment and lost at the next boot.
+	if err := s2.Append([]Record{reportRec(300, "d2", "pd", 30)}); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	s3 := openTestStore(t, dir)
+	defer s3.Close()
+	if got := s3.Records(); len(got) != 3 || got[2].Report.Design != "d2" {
+		t.Fatalf("after restart replayed %+v, want the two records and the new batch", got)
+	}
+	if st := s3.Stats(); st.ReplaySkipped != 1 {
+		t.Errorf("ReplaySkipped = %d after restart, want 1", st.ReplaySkipped)
 	}
 }
 
@@ -197,41 +213,6 @@ func TestStoreRotationRetention(t *testing.T) {
 	}
 	if got := s.AggregateCounters()["pd.iterations"]; got != want {
 		t.Errorf("aggregate = %d, want %d (working set only)", got, want)
-	}
-}
-
-// TestStoreMaxAge: sealed segments whose newest record is older than
-// MaxAge retire at rotation, while fresh ones stay.
-func TestStoreMaxAge(t *testing.T) {
-	dir := t.TempDir()
-	s := openTestStore(t, dir, func(c *StoreConfig) {
-		c.SegmentBytes = 256
-		c.MaxAge = time.Hour
-	})
-	defer s.Close()
-	old := time.Now().Add(-2 * time.Hour).UnixMilli()
-	for i := 0; i < 10; i++ {
-		if err := s.Append([]Record{reportRec(old, "stale", "pd", 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Fresh records force rotations that trigger the age check.
-	now := time.Now().UnixMilli()
-	for i := 0; i < 10; i++ {
-		if err := s.Append([]Record{reportRec(now, "fresh", "pd", 1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var stale int
-	for _, r := range s.Records() {
-		if r.Report.Design == "stale" {
-			stale++
-		}
-	}
-	// The active segment is never retired, so a tail of stale records may
-	// survive — but the sealed stale segments must be gone.
-	if stale == 10 {
-		t.Errorf("all %d stale records survived; age retention never fired", stale)
 	}
 }
 

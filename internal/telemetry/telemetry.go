@@ -9,11 +9,11 @@
 //     ScenarioReport), and pushes its own solves through a Client with
 //     bounded buffering that drops on backpressure — telemetry never
 //     blocks a solve.
-//   - Store: an append-only segment store using the same checksummed
-//     fsync'd record framing as the jobs WAL ("<crc32-hex> <json>\n"),
-//     with boot-time replay, torn-tail tolerance, size-based segment
-//     rotation and segment-count/age retention, plus an in-memory working
-//     set mirroring the live segments for queries.
+//   - Store: the segment log the jobs WAL and the capture ring use too
+//     (internal/seglog: "<crc32-hex8> <json>\n" lines, fsync'd once per
+//     batch, boot-time replay with torn-tail tolerance, size-based
+//     rotation, segment-count retention), plus an in-memory working set
+//     mirroring the live segments for queries.
 //   - Query: GET /telemetry/v1/series aggregates the report series —
 //     p50/p90/p99 solve latency by method, fallback-degradation and
 //     audit-violation rates, cache hit/incremental/cold ratios, and
