@@ -49,7 +49,6 @@ func run() int {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		statsOut   = flag.String("stats", "", "collect per-run solver telemetry, print the stage table and write the reports as JSON to this file")
-		convOut    = flag.String("convergence", "", "with -stats: write the solver convergence samples as CSV to this file and print the convergence table")
 	)
 	flag.Parse()
 
@@ -86,7 +85,7 @@ func run() int {
 		Scale:   *scale,
 		ILPTime: *ilpTime,
 	}
-	if *statsOut != "" || *convOut != "" {
+	if *statsOut != "" {
 		cfg.Stats = obs.NewCollector()
 	}
 	if *benchs != "" {
@@ -140,27 +139,13 @@ func run() int {
 	if cfg.Stats != nil {
 		fmt.Println()
 		experiments.StageTable(os.Stdout, cfg.Stats)
-		if *convOut != "" {
-			fmt.Println()
-			experiments.ConvergenceTable(os.Stdout, cfg.Stats)
-			if err := writeFileWith(*convOut, func(f *os.File) error {
-				experiments.ConvergenceCSV(f, cfg.Stats)
-				return nil
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: convergence: %v\n", err)
-				return 1
-			}
-			fmt.Printf("\nconvergence samples written to %s\n", *convOut)
+		if err := writeFileWith(*statsOut, func(f *os.File) error {
+			return experiments.WriteStats(f, cfg.Stats)
+		}); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: stats: %v\n", err)
+			return 1
 		}
-		if *statsOut != "" {
-			if err := writeFileWith(*statsOut, func(f *os.File) error {
-				return experiments.WriteStats(f, cfg.Stats)
-			}); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: stats: %v\n", err)
-				return 1
-			}
-			fmt.Printf("\nstats written to %s (%d runs)\n", *statsOut, len(cfg.Stats.Runs()))
-		}
+		fmt.Printf("\nstats written to %s (%d runs)\n", *statsOut, len(cfg.Stats.Runs()))
 	}
 	return 0
 }

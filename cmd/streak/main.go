@@ -6,18 +6,14 @@
 //	streak -design path/to/design.json [-method pd|ilp|hier] [-ilptime 60s]
 //	       [-fallback] [-timeout 0] [-audit off|warn|strict] [-workers 0]
 //	       [-nopost] [-heatmap] [-out routed.json]
-//	       [-stats report.json] [-trace trace.json] [-debug-addr :6060]
-//	       [-faultinject SPEC]
+//	       [-stats report.json] [-debug-addr :6060] [-faultinject SPEC]
 //	streak -industry 3 [-scale 0.2] ...
 //
 // With -stats the run writes a JSON telemetry report (per-stage spans,
-// solver counters, congestion snapshot, convergence series; see DESIGN.md
-// "Observability" and "Tracing & convergence"). With -trace it writes a
-// Chrome trace_event file of the same run — per-object and per-solver-step
-// events nested under the stage spans — loadable in Perfetto
-// (https://ui.perfetto.dev) or Chrome's about://tracing. With -debug-addr
-// the run serves /debug/vars, /debug/streak and /debug/pprof/ for live
-// inspection while the flow executes.
+// solver counters, labels, congestion snapshot; see DESIGN.md
+// "Observability"). With -debug-addr the run serves /debug/streak,
+// /debug/vars and /debug/pprof/ for live inspection while the flow
+// executes.
 //
 // -faultinject arms deterministic faults at the compiled-in chaos sites
 // (see internal/faultinject), e.g. "exact.solve=panic" to force the ILP
@@ -63,13 +59,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout    = fs.Duration("timeout", 0, "overall deadline for the whole flow (0 = none)")
 		fallback   = fs.Bool("fallback", false, "degrade ilp -> hier -> pd on solver failure instead of aborting")
 		auditMode  = fs.String("audit", "off", "post-solve legality audit: off, warn or strict")
-		workers    = fs.Int("workers", 0, "parallel workers for problem build and hier tile solves (0 = GOMAXPROCS, 1 = sequential)")
+		workers    = fs.Int("workers", 0, "parallel workers for the problem build (0 = GOMAXPROCS, 1 = sequential)")
 		noPost     = fs.Bool("nopost", false, "disable the post-optimization stage")
 		heatmap    = fs.Bool("heatmap", false, "print the congestion heatmap")
 		svgOut     = fs.String("svg", "", "write the routed design as SVG to this file")
-		statsOut   = fs.String("stats", "", "write the run's telemetry report (stage spans, solver counters, congestion, convergence series) as JSON to this file")
-		traceOut   = fs.String("trace", "", "write a Chrome trace_event JSON file of the run (open in Perfetto or about://tracing)")
-		debugAddr  = fs.String("debug-addr", "", "serve the live debug endpoint (expvar, /debug/streak, net/http/pprof) on this address, e.g. :6060")
+		statsOut   = fs.String("stats", "", "write the run's telemetry report (stage spans, solver counters, congestion) as JSON to this file")
+		debugAddr  = fs.String("debug-addr", "", "serve the live debug endpoint (/debug/streak, expvar, net/http/pprof) on this address, e.g. :6060")
 		faultSpec  = fs.String("faultinject", "", "arm deterministic faults, e.g. 'exact.solve=panic;hier.tile=delay:2s' (chaos testing)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -97,7 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	opt.Route.Workers = *workers
-	opt.HierWorkers = *workers
 	if *noPost {
 		opt.PostOpt = false
 		opt.Clustering = false
@@ -133,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Telemetry: -stats and -debug-addr both hang a recorder on the
 	// context; the pipeline stages pick it up via obs.FromContext.
 	var rec *obs.Recorder
-	if *statsOut != "" || *traceOut != "" || *debugAddr != "" {
+	if *statsOut != "" || *debugAddr != "" {
 		rec = obs.NewRecorder()
 		rec.SetLabel("bench", design.Name)
 		rec.SetLabel("method", opt.Method.String())
@@ -151,24 +145,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	res, err := streak.RouteCtx(ctx, design, opt)
-	if rec != nil && (*statsOut != "" || *traceOut != "") {
-		// Write the reports even on failure: the spans, counters and trace
-		// up to the failing stage are exactly what a post-mortem needs.
+	if *statsOut != "" {
+		// Write the report even on failure: the spans and counters up to
+		// the failing stage are exactly what a post-mortem needs.
 		rep := rec.Report()
 		if res != nil {
 			rep.Congestion = obs.SnapshotCongestion(res.Usage, 16)
 		}
-		if *statsOut != "" {
-			if werr := writeStats(*statsOut, rep); werr != nil {
-				fmt.Fprintln(stderr, "streak:", werr)
-				return 1
-			}
-		}
-		if *traceOut != "" {
-			if werr := writeTrace(*traceOut, rep); werr != nil {
-				fmt.Fprintln(stderr, "streak:", werr)
-				return 1
-			}
+		if werr := writeStats(*statsOut, rep); werr != nil {
+			fmt.Fprintln(stderr, "streak:", werr)
+			return 1
 		}
 	}
 	if err != nil {
@@ -218,9 +204,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *statsOut != "" {
 		fmt.Fprintf(stdout, "stats       %s\n", *statsOut)
 	}
-	if *traceOut != "" {
-		fmt.Fprintf(stdout, "trace       %s (open in Perfetto or about://tracing)\n", *traceOut)
-	}
 	if *heatmap {
 		fmt.Fprintln(stdout, "\ncongestion map:")
 		streak.WriteHeatmap(stdout, res, 64)
@@ -256,19 +239,6 @@ func writeStats(path string, rep obs.Report) error {
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeTrace writes the run's Chrome trace_event file.
-func writeTrace(path string, rep obs.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteChromeTrace(f); err != nil {
 		f.Close()
 		return err
 	}

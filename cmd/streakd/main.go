@@ -108,7 +108,7 @@ func run(args []string, stdout, stderr io.Writer, sigs <-chan os.Signal, ready c
 		method       = fs.String("method", "pd", "default selection solver: pd, ilp or hier (per-request ?method= overrides)")
 		auditMode    = fs.String("audit", "warn", "default legality audit mode: off, warn or strict (per-request ?audit= overrides)")
 		fallbackOn   = fs.Bool("fallback", true, "degrade ilp -> hier -> pd on solver failure instead of failing the request")
-		workers      = fs.Int("workers", 0, "parallel workers for problem build and hier tile solves (0 = GOMAXPROCS)")
+		workers      = fs.Int("workers", 0, "parallel workers for the problem build (0 = GOMAXPROCS, 1 = sequential)")
 		ilpTime      = fs.Duration("ilptime", 60*time.Second, "ILP time limit within the solve deadline")
 		faultSpec    = fs.String("faultinject", "", "arm deterministic faults, e.g. 'pd.solve=delay:2s@3;exact.solve=panic' (chaos testing)")
 		jobsDir      = fs.String("jobs-dir", "", "directory for the durable async-jobs WAL (empty = in-memory job store, no durability)")
@@ -291,7 +291,6 @@ func flowOptions(method, auditMode string, fallback bool, workers int, ilpTime t
 		return opt, fmt.Errorf("unknown audit mode %q (want off, warn or strict)", auditMode)
 	}
 	opt.Route.Workers = workers
-	opt.HierWorkers = workers
 	opt.Fallback = core.Fallback{Enabled: fallback}
 	return opt, nil
 }

@@ -62,7 +62,6 @@ var goldenFingerprints = map[string]string{
 	"Industry1/exact":        "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
 	"Industry1/exact-search": "nodes=1 lps=1 iters=34",
 	"Industry1/hier":         "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
-	"Industry1/hier-par":     "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
 	"Industry1/hier-search":  "nodes=4 lps=4 iters=34",
 	"Industry1/pd":           "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
 	"Industry1/post":         "geo=5a58fea675bfd2cd vio=0 refine=0/0/0/0/0 viodst=0 wl=40d0874000000000 reg=3ff0000000000000",
@@ -70,7 +69,6 @@ var goldenFingerprints = map[string]string{
 	"Industry3/exact":        "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
 	"Industry3/exact-search": "nodes=14 lps=62 iters=2541",
 	"Industry3/hier":         "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
-	"Industry3/hier-par":     "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
 	"Industry3/hier-search":  "nodes=17 lps=65 iters=1443",
 	"Industry3/pd":           "obj=40ae7e0000000000 geo=838f4f2e86584878 audit=ok",
 	"Industry3/post":         "geo=838f4f2e86584878 vio=0 refine=0/0/0/0/0 viodst=0 wl=40d28f4000000000 reg=3ff0000000000000",
@@ -79,7 +77,6 @@ var goldenFingerprints = map[string]string{
 	"Industry5/post":         "geo=730b109c398530fa vio=0 refine=0/0/0/0/0 viodst=0 wl=40f5577000000000 reg=3fec226d6d8b43fb",
 	"Industry5/problem":      "objs=61 cands=732 hash=977c4f614345df7e",
 	"Industry7/hier":         "obj=40b6aa0000000000 geo=871cb205034c89f9 audit=ok",
-	"Industry7/hier-par":     "obj=40b6aa0000000000 geo=871cb205034c89f9 audit=ok",
 	"Industry7/hier-search":  "nodes=17 lps=82 iters=905",
 	"Industry7/pd":           "obj=40b6aa0000000000 geo=cf161fbcdf049ddf audit=ok",
 	"Industry7/post":         "geo=076d20edda26fa8b vio=1 refine=1/0/1/0/2 viodst=0 wl=40da25c000000000 reg=3fea740da740da75",
@@ -221,11 +218,6 @@ func computeFingerprints(t *testing.T, workers int) map[string]string {
 			}
 			got[name+"/hier"] = fpSolve(p, hs.Objective, hs.Assignment)
 			got[name+"/hier-search"] = fpSearch(rec)
-			hp := hier.Solve(p, hier.Options{Tiles: 2, Workers: 4})
-			if hp.TilesTimedOut > 0 {
-				t.Fatalf("%s: parallel hier tile timed out; preset is not golden-safe", name)
-			}
-			got[name+"/hier-par"] = fpSolve(p, hp.Objective, hp.Assignment)
 		}
 		if pr.exact {
 			rec := obs.NewRecorder()

@@ -76,9 +76,9 @@ type Options struct {
 	HierTiles int
 	// HierTimePerTile bounds each tile ILP (default 5s).
 	HierTimePerTile time.Duration
-	// HierWorkers bounds how many hierarchical tile ILPs solve
-	// concurrently (below 2 keeps the sequential tile schedule; see
-	// hier.Options.Workers).
+	// HierWorkers is ignored: hierarchical tiles always solve in order.
+	//
+	// Deprecated: ignored.
 	HierWorkers int
 	// Fallback configures graceful degradation across solvers (panic,
 	// timeout-with-nothing, oversized model, infeasibility).
@@ -171,7 +171,7 @@ func RunCtx(ctx context.Context, d *signal.Design, opt Options) (*Result, error)
 }
 
 // rootSpan opens the flow's root "run" span so every stage span nests under
-// one top-level interval in traces. It is a no-op when no recorder is
+// one top-level interval in the report. It is a no-op when no recorder is
 // attached or a span is already open on the context (RunCtx opens it once;
 // RunProblemCtx reuses it).
 func rootSpan(ctx context.Context) (context.Context, func()) {

@@ -192,7 +192,7 @@ type hierSolver struct{}
 func (hierSolver) Name() string { return Hierarchical.String() }
 
 func (hierSolver) Solve(ctx context.Context, p *route.Problem, opt Options) (SolveOutcome, error) {
-	r, err := hier.SolveCtx(ctx, p, hier.Options{Tiles: opt.HierTiles, TimePerTile: opt.HierTimePerTile, Workers: opt.HierWorkers})
+	r, err := hier.SolveCtx(ctx, p, hier.Options{Tiles: opt.HierTiles, TimePerTile: opt.HierTimePerTile})
 	if errors.Is(err, context.DeadlineExceeded) {
 		return SolveOutcome{Assignment: r.Assignment, TimedOut: true}, nil
 	}

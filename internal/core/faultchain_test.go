@@ -83,10 +83,7 @@ func TestFallbackChainUnderInjectedFaults(t *testing.T) {
 				// because every later rung shares the expired deadline.
 				return faultinject.NewPlan().Arm(faultinject.HierTile, faultinject.Action{Delay: 10 * time.Second})
 			},
-			opt: Options{
-				Method: Hierarchical, HierWorkers: 1,
-				Fallback: Fallback{Enabled: true},
-			},
+			opt:          Options{Method: Hierarchical, Fallback: Fallback{Enabled: true}},
 			ctxTimeout:   80 * time.Millisecond,
 			wantSolver:   Hierarchical.String(),
 			wantTimedOut: true,
@@ -97,17 +94,7 @@ func TestFallbackChainUnderInjectedFaults(t *testing.T) {
 			plan: func() *faultinject.Plan {
 				return faultinject.NewPlan().Arm(faultinject.HierTile, faultinject.Action{Panic: "tile chaos"})
 			},
-			opt:          Options{Method: Hierarchical, HierWorkers: 1, Fallback: Fallback{Enabled: true}},
-			wantSolver:   PrimalDual.String(),
-			wantDegraded: true,
-			wantAttempts: []string{"panicked"},
-		},
-		{
-			name: "hier-tile-panic-parallel-schedule-degrades-to-pd",
-			plan: func() *faultinject.Plan {
-				return faultinject.NewPlan().Arm(faultinject.HierTile, faultinject.Action{Panic: "tile chaos"})
-			},
-			opt:          Options{Method: Hierarchical, HierWorkers: 4, Fallback: Fallback{Enabled: true}},
+			opt:          Options{Method: Hierarchical, Fallback: Fallback{Enabled: true}},
 			wantSolver:   PrimalDual.String(),
 			wantDegraded: true,
 			wantAttempts: []string{"panicked"},

@@ -9,8 +9,7 @@ import (
 )
 
 // TestRunCtxRootSpanNesting checks the traced flow: RunCtx opens a single
-// root "run" span, every stage span nests under it, and a full primal-dual
-// run leaves at least one convergence sample for the solver it used.
+// root "run" span and every stage span nests under it.
 func TestRunCtxRootSpanNesting(t *testing.T) {
 	d := benchgen.Scale(benchgen.Industry(1), 0.04).Generate()
 	rec := obs.NewRecorder()
@@ -33,9 +32,6 @@ func TestRunCtxRootSpanNesting(t *testing.T) {
 	}
 	if roots != 1 {
 		t.Errorf("got %d root spans, want 1", roots)
-	}
-	if len(rep.Series["pd"]) == 0 {
-		t.Error("no pd convergence samples from a full run")
 	}
 }
 

@@ -184,13 +184,6 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 		}, 1)
 	}
 
-	if rec := obs.FromContext(ctx); rec != nil {
-		rec.EmitAt("exact.model", "ilp", start, time.Since(start), obs.Args{
-			"vars": float64(nVars), "cons": float64(m.NumConstraints()),
-			"pairs": float64(len(pairs)),
-		})
-	}
-
 	solveOpt := ilp.SolveOptions{Ctx: ctx, TimeLimit: opt.TimeLimit}
 	if opt.WarmStart != nil {
 		inc := make([]float64, nVars)

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -78,68 +77,4 @@ func StageTable(w io.Writer, c *obs.Collector) {
 		rows = append(rows, report.Row{Bench: run.Bench, Cells: cells})
 	}
 	report.Table(w, "solver stage telemetry (wall-clock per stage; see DESIGN.md \"Observability\")", headers, rows)
-}
-
-// seriesNames returns a run's convergence series names in deterministic
-// (sorted) order.
-func seriesNames(series map[string][]obs.Sample) []string {
-	names := make([]string, 0, len(series))
-	for name := range series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ConvergenceTable renders one row per (bench, flow, series): how many
-// samples the solver recorded, the objective it started and ended at, the
-// final routed count and the time of the last sample. A nil or empty
-// collector — or runs recorded without solver samplers — prints nothing.
-func ConvergenceTable(w io.Writer, c *obs.Collector) {
-	var rows []report.Row
-	for _, run := range c.Runs() {
-		for _, name := range seriesNames(run.Report.Series) {
-			s := run.Report.Series[name]
-			if len(s) == 0 {
-				continue
-			}
-			first, last := s[0], s[len(s)-1]
-			rows = append(rows, report.Row{Bench: run.Bench, Cells: []string{
-				run.Flow,
-				name,
-				fmt.Sprint(len(s)),
-				fmt.Sprintf("%.4g", first.Objective),
-				fmt.Sprintf("%.4g", last.Objective),
-				fmt.Sprint(last.Routed),
-				fmt.Sprintf("%.3fs", time.Duration(last.ElapsedUS*1000).Seconds()),
-			}})
-		}
-	}
-	if len(rows) == 0 {
-		return
-	}
-	report.Table(w, "solver convergence (objective trajectory per run; see DESIGN.md \"Tracing & convergence\")",
-		[]string{"flow", "series", "samples", "obj first", "obj last", "routed", "at"}, rows)
-}
-
-// ConvergenceCSV writes every convergence sample in long form — one row per
-// (bench, flow, series, sample) — ready for plotting objective-vs-time
-// curves across solvers.
-func ConvergenceCSV(w io.Writer, c *obs.Collector) {
-	header := []string{"bench", "flow", "series", "elapsed_us", "objective", "routed", "bound"}
-	var rows [][]string
-	for _, run := range c.Runs() {
-		for _, name := range seriesNames(run.Report.Series) {
-			for _, s := range run.Report.Series[name] {
-				rows = append(rows, []string{
-					run.Bench, run.Flow, name,
-					fmt.Sprint(s.ElapsedUS),
-					fmt.Sprintf("%g", s.Objective),
-					fmt.Sprint(s.Routed),
-					fmt.Sprintf("%g", s.Bound),
-				})
-			}
-		}
-	}
-	report.CSV(w, header, rows)
 }

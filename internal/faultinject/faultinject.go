@@ -52,9 +52,8 @@ const (
 	// relaxation past branch-and-bound deadlines. Honors: panic, delay,
 	// error (as LP infeasibility).
 	Simplex = "ilp.simplex"
-	// HierTile fires before each hierarchical tile solve is dispatched, on
-	// the coordinating goroutine in both the sequential and parallel tile
-	// schedules. Honors: panic, delay, error.
+	// HierTile fires before each hierarchical tile solve. Honors: panic,
+	// delay, error.
 	HierTile = "hier.tile"
 	// JobsStoreAppend fires before every durable job-store append
 	// (jobs.Store implementations); an injected error makes the append —

@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/exact"
@@ -33,13 +32,10 @@ type Options struct {
 	// MaxVarsPerTile guards each tile model's size; oversized tiles fall
 	// back to the greedy pass. Default 20000.
 	MaxVarsPerTile int
-	// Workers bounds how many tile ILPs solve concurrently. The default
-	// (anything below 2) keeps the sequential flow, where each tile prices
-	// against the residual capacity left by earlier tiles. With Workers
-	// >= 2 every tile plans against the initial capacities in parallel and
-	// the plans commit in deterministic tile order with per-candidate
-	// capacity re-checks, so results are reproducible (though not
-	// necessarily equal to the sequential schedule's).
+	// Workers is ignored: tiles always solve in order, each against the
+	// residual capacity left by earlier tiles.
+	//
+	// Deprecated: ignored.
 	Workers int
 }
 
@@ -84,7 +80,7 @@ func Solve(p *route.Problem, opt Options) Result {
 // and the context deadline.
 func SolveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error) {
 	var res Result
-	err := obs.Do(ctx, obs.StageHier, opt.Workers, func(ctx context.Context) error {
+	err := obs.Do(ctx, obs.StageHier, 0, func(ctx context.Context) error {
 		var err error
 		res, err = solveCtx(ctx, p, opt)
 		return err
@@ -126,76 +122,32 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 		return res, err
 	}
 
-	// Convergence series: one sample per tile commit plus one after the
-	// sweep. Tiles are few, so evaluating (3a) per commit is cheap relative
-	// to the tile ILPs it brackets; the disabled path never calls it.
-	rec := obs.FromContext(ctx)
-	samp := rec.Sampler("hier")
-	if rec != nil {
-		samp.Record(p.ObjectiveValue(a), 0, 0)
-	}
-
-	if opt.Workers >= 2 {
-		if err := solveTilesParallel(ctx, p, tiles, u, &a, opt, &res, rec, samp); err != nil {
+	for _, objs := range tiles {
+		if len(objs) == 0 {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
 			return finish(fmt.Errorf("hier: %w", err))
 		}
-	} else {
-		for ti, objs := range tiles {
-			if len(objs) == 0 {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return finish(fmt.Errorf("hier: %w", err))
-			}
-			if err := faultinject.Fire(ctx, faultinject.HierTile); err != nil {
-				return finish(fmt.Errorf("hier: %w", err))
-			}
-			var t0 time.Time
-			if rec != nil {
-				t0 = time.Now()
-			}
-			plan, timedOut := planTile(ctx, p, objs, u, a.Choice, opt)
-			commitPlan(p, plan, u, &a)
-			res.TilesSolved++
-			if timedOut {
-				res.TilesTimedOut++
-			}
-			if rec != nil {
-				rec.EmitAt("hier.tile", "hier", t0, time.Since(t0), obs.Args{
-					"tile": float64(ti), "objects": float64(len(objs)),
-					"planned": float64(len(plan)), "timed_out": b2f(timedOut),
-				})
-				samp.Record(p.ObjectiveValue(a), a.RoutedObjects(), 0)
-			}
+		if err := faultinject.Fire(ctx, faultinject.HierTile); err != nil {
+			return finish(fmt.Errorf("hier: %w", err))
+		}
+		plan, timedOut := planTile(ctx, p, objs, u, a.Choice, opt)
+		commitPlan(p, plan, u, &a)
+		res.TilesSolved++
+		if timedOut {
+			res.TilesTimedOut++
 		}
 	}
 
 	// Final sweep: greedily route whatever remains (spanning objects,
 	// oversize tiles, tile-ILP leftovers) against residual capacity.
-	var t0 time.Time
-	if rec != nil {
-		t0 = time.Now()
-	}
 	routed, err := greedySweep(ctx, p, u, &a)
 	res.GreedyRouted = routed
-	if rec != nil {
-		rec.EmitAt("hier.greedy", "hier", t0, time.Since(t0), obs.Args{
-			"routed": float64(routed),
-		})
-		samp.Record(p.ObjectiveValue(a), a.RoutedObjects(), 0)
-	}
 	if err != nil {
 		return finish(fmt.Errorf("hier: %w", err))
 	}
 	return finish(nil)
-}
-
-// b2f encodes a flag as a trace-event arg.
-func b2f(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // partition buckets object indices by the tile containing their pin
@@ -223,75 +175,6 @@ func partition(p *route.Problem, tiles int) [][]int {
 // candSel names candidate j of object i, picked by a tile plan.
 type candSel struct{ i, j int }
 
-// solveTilesParallel plans every tile's ILP concurrently (Workers at a
-// time) against the capacities as they stand on entry, then commits the
-// plans sequentially in tile order. Commits re-check residual capacity per
-// candidate, so later tiles' plans lose gracefully where parallel planning
-// double-booked an edge; the greedy sweep picks those objects up. Choices
-// are snapshotted before planning, keeping every tile's view identical
-// regardless of scheduling — the outcome is deterministic in tile order.
-func solveTilesParallel(ctx context.Context, p *route.Problem, tiles [][]int, u *grid.Usage, a *route.Assignment, opt Options, res *Result, rec *obs.Recorder, samp *obs.Sampler) error {
-	type outcome struct {
-		plan     []candSel
-		timedOut bool
-		ran      bool
-	}
-	choice := append([]int(nil), a.Choice...)
-	outs := make([]outcome, len(tiles))
-	sem := make(chan struct{}, opt.Workers)
-	var wg sync.WaitGroup
-	for ti, objs := range tiles {
-		if len(objs) == 0 {
-			continue
-		}
-		// Fault seam: fire on the coordinating goroutine before dispatch so
-		// an injected panic stays on the stack core.runRung can recover.
-		if err := faultinject.Fire(ctx, faultinject.HierTile); err != nil {
-			wg.Wait()
-			return err
-		}
-		wg.Add(1)
-		go func(ti int, objs []int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
-			}
-			var t0 time.Time
-			if rec != nil {
-				t0 = time.Now()
-			}
-			plan, timedOut := planTile(ctx, p, objs, u, choice, opt)
-			outs[ti] = outcome{plan: plan, timedOut: timedOut, ran: true}
-			if rec != nil {
-				rec.EmitAt("hier.tile", "hier", t0, time.Since(t0), obs.Args{
-					"tile": float64(ti), "objects": float64(len(objs)),
-					"planned": float64(len(plan)), "timed_out": b2f(timedOut),
-				})
-			}
-		}(ti, objs)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, out := range outs {
-		if !out.ran {
-			continue
-		}
-		commitPlan(p, out.plan, u, a)
-		res.TilesSolved++
-		if out.timedOut {
-			res.TilesTimedOut++
-		}
-		if rec != nil {
-			samp.Record(p.ObjectiveValue(*a), a.RoutedObjects(), 0)
-		}
-	}
-	return nil
-}
-
 // commitPlan applies a tile plan: each selection commits iff its object is
 // still unrouted and the candidate fits the remaining capacity.
 func commitPlan(p *route.Problem, plan []candSel, u *grid.Usage, a *route.Assignment) {
@@ -309,8 +192,8 @@ func commitPlan(p *route.Problem, plan []candSel, u *grid.Usage, a *route.Assign
 // planTile builds and solves the tile-restricted ILP against the residual
 // capacities in u and the committed choices snapshot, returning the
 // selections to commit and whether the tile hit its time limit. It never
-// mutates shared state, so plans may be computed concurrently. A canceled
-// context aborts the tile ILP with an empty plan; the caller notices the
+// mutates u or choice; commitPlan applies the plan. A canceled context
+// aborts the tile ILP with an empty plan; the caller notices the
 // cancellation itself.
 func planTile(ctx context.Context, p *route.Problem, objs []int, u *grid.Usage, choice []int, opt Options) (plan []candSel, timedOut bool) {
 	// Variable layout: per (tile object, candidate).
@@ -403,9 +286,8 @@ func planTile(ctx context.Context, p *route.Problem, objs []int, u *grid.Usage, 
 	if res.Status != ilp.Optimal && res.Status != ilp.Feasible {
 		return nil, res.Status == ilp.TimedOut
 	}
-	// The capacity double-check (defense against numeric drift in the LP,
-	// and against concurrent tiles planning over the same edges) happens at
-	// commit time in commitPlan.
+	// The capacity double-check (defense against numeric drift in the LP)
+	// happens at commit time in commitPlan.
 	for vi, r := range vars {
 		if res.X[vi] > 0.5 && choice[r.i] < 0 {
 			plan = append(plan, candSel{r.i, r.j})

@@ -133,18 +133,6 @@ func Solve(m *Model, opt SolveOptions) Result {
 			rec.Add(obs.CounterILPScratchFresh, 1)
 		}
 	}()
-	// Convergence series: one sample per incumbent (warm start included),
-	// carrying the root-relaxation bound once it is known. Samples are only
-	// taken on finite objectives — an infeasible search contributes none.
-	samp := rec.Sampler("ilp")
-	var rootBound float64
-	if rec != nil && bestX != nil {
-		samp.Record(bestObj, countSelected(m, bestX), 0)
-		rec.EmitAt("ilp.incumbent", "ilp", time.Now(), 0, obs.Args{
-			"objective": bestObj, "nodes": 0, "warm_start": 1,
-		})
-	}
-
 	// Lazy-row management: the LP starts with only the base constraints;
 	// violated lazy rows are activated globally as relaxation solutions
 	// expose them. Bounds from the smaller LPs remain valid relaxation
@@ -209,11 +197,6 @@ func Solve(m *Model, opt SolveOptions) Result {
 			stack = pushChildren(stack, nd.lo, nd.hi, j)
 			continue
 		}
-		if rec != nil && nodes == 1 {
-			// The first node's relaxation over the full variable box is the
-			// global lower bound reported alongside incumbents.
-			rootBound = res.obj
-		}
 		if res.obj >= bestObj-1e-9 {
 			pruned++
 			continue // bound prune
@@ -242,12 +225,6 @@ func Solve(m *Model, opt SolveOptions) Result {
 			if obj := m.Eval(x); obj < bestObj {
 				bestObj = obj
 				bestX = x
-				if rec != nil {
-					samp.Record(bestObj, countSelected(m, x), rootBound)
-					rec.EmitAt("ilp.incumbent", "ilp", time.Now(), 0, obs.Args{
-						"objective": bestObj, "nodes": float64(nodes),
-					})
-				}
 			}
 			continue
 		}
@@ -273,18 +250,6 @@ func Solve(m *Model, opt SolveOptions) Result {
 // bbNode is one branch-and-bound node: its per-variable bounds.
 type bbNode struct {
 	lo, hi []float64
-}
-
-// countSelected counts the binaries set in a solution — the "routed" axis of
-// the ILP convergence series (selection binaries dominate the integer set).
-func countSelected(m *Model, x []float64) int {
-	n := 0
-	for i, v := range x {
-		if m.integer[i] && v > 0.5 {
-			n++
-		}
-	}
-	return n
 }
 
 // pushChildren pushes the two child nodes fixing variable j to 0 and 1.

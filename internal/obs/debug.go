@@ -6,36 +6,12 @@ import (
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
-	"sync"
-	"sync/atomic"
 )
 
-var (
-	expvarOnce sync.Once
-	expvarCur  atomic.Pointer[Recorder]
-)
-
-// PublishExpvar exposes the recorder's live report under the expvar name
-// "streak". expvar names are process-global, so repeated calls re-point the
-// published variable at the newest recorder instead of re-publishing.
-func PublishExpvar(r *Recorder) {
-	if r == nil {
-		return
-	}
-	expvarCur.Store(r)
-	expvarOnce.Do(func() {
-		expvar.Publish("streak", expvar.Func(func() any {
-			return expvarCur.Load().Report()
-		}))
-	})
-}
-
-// DebugMux builds the debug HTTP handler: /debug/vars (expvar, including
-// the "streak" live report), /debug/streak (the recorder's report as plain
-// JSON, for dashboards that do not want the whole expvar dump), and the
-// net/http/pprof family under /debug/pprof/.
+// DebugMux builds the debug HTTP handler: /debug/streak (the recorder's
+// live report as JSON), /debug/vars (Go's expvar runtime variables), and
+// the net/http/pprof family under /debug/pprof/.
 func DebugMux(r *Recorder) *http.ServeMux {
-	PublishExpvar(r)
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/streak", func(w http.ResponseWriter, _ *http.Request) {

@@ -1,16 +1,18 @@
-// Package obs is Streak's observability layer: an allocation-conscious,
-// nil-safe telemetry Recorder that collects per-stage spans (problem build,
-// kernel fill, solver rungs, post-optimization, audit), named solver
-// counters (simplex iterations, branch-and-bound nodes, primal-dual
-// commits, hierarchical tile solves, fallback attempts), congestion
-// snapshots derived from grid.Usage, and an optional HTTP debug endpoint
-// serving expvar, live stage progress, and net/http/pprof.
+// Package obs is Streak's observability layer: a nil-safe telemetry
+// Recorder that collects per-stage spans (problem build, kernel fill,
+// solver rungs, post-optimization, audit), named solver counters (simplex
+// iterations, branch-and-bound nodes, primal-dual commits, hierarchical
+// tile solves, fallback attempts) and labels, congestion snapshots derived
+// from grid.Usage, and an optional HTTP debug endpoint serving the live
+// report, Go's expvar variables and net/http/pprof.
 //
 // Every method on a nil *Recorder is a no-op, so the entire pipeline can be
 // instrumented unconditionally: a run without a recorder attached to its
-// context pays one context lookup per stage and nothing else. Stages
-// executed under a recorder additionally run inside runtime/pprof labels
-// (stage=<name>) so CPU profiles attribute samples to pipeline phases.
+// context pays one context lookup per stage and nothing else. A recorder
+// only times stages and adds up counters, so traced and untraced runs
+// execute the same solver code. Stages executed under a recorder run
+// inside runtime/pprof labels (stage=<name>) so CPU profiles attribute
+// samples to pipeline phases.
 package obs
 
 import (
@@ -43,33 +45,22 @@ const (
 // is not used directly; call NewRecorder. All methods are safe for
 // concurrent use and safe on a nil receiver.
 type Recorder struct {
-	mu         sync.Mutex
-	start      time.Time
-	spans      []SpanRecord
-	active     map[*Span]struct{}
-	counters   map[string]int64
-	labels     map[string]string
-	samplers   map[string]*Sampler
-	samplerCap int
-
-	// The trace-event buffer has its own lock so hot-loop emitters do not
-	// contend with span/counter bookkeeping or live Report reads.
-	evMu      sync.Mutex
-	events    []Event
-	eventCap  int
-	evDropped int64
+	mu       sync.Mutex
+	start    time.Time
+	spans    []SpanRecord
+	active   map[*Span]struct{}
+	counters map[string]int64
+	labels   map[string]string
 }
 
 // NewRecorder returns an empty recorder whose span offsets are measured
 // from now.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		start:      time.Now(),
-		active:     make(map[*Span]struct{}),
-		counters:   make(map[string]int64),
-		labels:     make(map[string]string),
-		eventCap:   DefaultEventCap,
-		samplerCap: DefaultSamplerCap,
+		start:    time.Now(),
+		active:   make(map[*Span]struct{}),
+		counters: make(map[string]int64),
+		labels:   make(map[string]string),
 	}
 }
 
@@ -116,7 +107,7 @@ func (r *Recorder) StartSpan(name string) *Span {
 }
 
 // StartChild opens a span nested under s; its record carries s's name as
-// Parent, and trace encoders nest it under s.
+// Parent.
 func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
@@ -228,14 +219,6 @@ type Report struct {
 	Active []ActiveSpan `json:"active,omitempty"`
 	// Counters holds the named solver counters.
 	Counters map[string]int64 `json:"counters"`
-	// Trace lists the fine-grained trace events in emission order (see
-	// Event; encode with WriteChromeTrace for Chrome/Perfetto).
-	Trace []Event `json:"trace,omitempty"`
-	// EventsDropped counts trace events discarded by the buffer cap.
-	EventsDropped int64 `json:"events_dropped,omitempty"`
-	// Series holds the convergence time-series, one per solver ("pd",
-	// "ilp", "hier").
-	Series map[string][]Sample `json:"series,omitempty"`
 	// Congestion is the optional usage snapshot (attached by the caller).
 	Congestion *CongestionSnapshot `json:"congestion,omitempty"`
 }
@@ -268,24 +251,7 @@ func (r *Recorder) Report() Report {
 			rep.Labels[k] = v
 		}
 	}
-	var samplers map[string]*Sampler
-	if len(r.samplers) > 0 {
-		samplers = make(map[string]*Sampler, len(r.samplers))
-		for k, v := range r.samplers {
-			samplers[k] = v
-		}
-	}
 	r.mu.Unlock()
-	if samplers != nil {
-		rep.Series = make(map[string][]Sample, len(samplers))
-		for k, s := range samplers {
-			rep.Series[k] = s.Snapshot()
-		}
-	}
-	r.evMu.Lock()
-	rep.Trace = append([]Event(nil), r.events...)
-	rep.EventsDropped = r.evDropped
-	r.evMu.Unlock()
 	sort.Slice(rep.Active, func(i, j int) bool { return rep.Active[i].Name < rep.Active[j].Name })
 	return rep
 }
@@ -324,8 +290,8 @@ func FromContext(ctx context.Context) *Recorder {
 // spanKey keys the current span in a context.
 type spanKey struct{}
 
-// WithSpan attaches the span to the context so nested stages (and trace
-// encoders) can parent under it. Attaching nil returns ctx unchanged.
+// WithSpan attaches the span to the context so nested stages can parent
+// under it. Attaching nil returns ctx unchanged.
 func WithSpan(ctx context.Context, s *Span) context.Context {
 	if s == nil {
 		return ctx

@@ -43,6 +43,13 @@ func TestNilRecorderSafe(t *testing.T) {
 				t.Error("nil recorder attached")
 			}
 		}},
+		{"AnnotateBuildInfo", func() { r.AnnotateBuildInfo() }},
+		{"Span.StartChild", func() {
+			var sp *Span
+			if c := sp.StartChild("x"); c != nil {
+				t.Error("nil span spawned a child")
+			}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -228,5 +235,68 @@ func TestCollector(t *testing.T) {
 	}
 	if runs[0].Report.Labels["flow"] != "pd" {
 		t.Errorf("flow label missing: %+v", runs[0].Report.Labels)
+	}
+}
+
+// TestStartChildParent pins span nesting: the child's record names its
+// parent, and obs.Do parents under the span already in the context.
+func TestStartChildParent(t *testing.T) {
+	r := NewRecorder()
+	root := r.StartSpan("run")
+	child := root.StartChild(StagePD)
+	child.End()
+	root.End()
+	rep := r.Report()
+	if len(rep.Spans) != 2 {
+		t.Fatalf("spans = %+v", rep.Spans)
+	}
+	if rep.Spans[0].Name != StagePD || rep.Spans[0].Parent != "run" {
+		t.Errorf("child record = %+v", rep.Spans[0])
+	}
+	if rep.Spans[1].Parent != "" {
+		t.Errorf("root record = %+v", rep.Spans[1])
+	}
+}
+
+// TestDoNestsUnderContextSpan pins automatic stage nesting through Do.
+func TestDoNestsUnderContextSpan(t *testing.T) {
+	r := NewRecorder()
+	ctx := WithRecorder(context.Background(), r)
+	root := r.StartSpan("run")
+	ctx = WithSpan(ctx, root)
+	var sawStage bool
+	err := Do(ctx, StageBuild, 0, func(ctx context.Context) error {
+		if SpanFromContext(ctx) == nil {
+			t.Error("stage span not attached to ctx")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	rep := r.Report()
+	for _, s := range rep.Spans {
+		if s.Name == StageBuild {
+			sawStage = true
+			if s.Parent != "run" {
+				t.Errorf("stage parent = %q, want run", s.Parent)
+			}
+		}
+	}
+	if !sawStage {
+		t.Errorf("no %s span recorded: %+v", StageBuild, rep.Spans)
+	}
+}
+
+// TestBuildInfoLabels sanity-checks the build-info annotation: a go_version
+// label always exists (VCS settings depend on how the test binary was
+// built).
+func TestBuildInfoLabels(t *testing.T) {
+	r := NewRecorder()
+	r.AnnotateBuildInfo()
+	rep := r.Report()
+	if rep.Labels["go_version"] == "" {
+		t.Errorf("go_version label missing: %+v", rep.Labels)
 	}
 }

@@ -108,24 +108,7 @@ func solveCtx(ctx context.Context, p *route.Problem) (Result, error) {
 		rec.Add(obs.CounterPDUsagePoolGets, gets-poolGets0)
 		rec.Add(obs.CounterPDUsagePoolFresh, fresh-poolFresh0)
 	}()
-	// Traced solves track the (3a) objective incrementally: it starts at n*M
-	// (everything unrouted) and each commit replaces one M with the
-	// candidate's cost plus its pair terms against already-committed
-	// partners, so every pair is counted exactly once and each convergence
-	// sample costs O(partners) instead of a full ObjectiveValue sweep.
-	// Abandoning an object keeps its M, so no update is needed there.
-	samp := rec.Sampler("pd")
-	var obj float64
-	var routed int
-	var iterStart time.Time
-	if rec != nil {
-		obj = float64(n) * p.Opt.M
-		samp.Record(obj, 0, 0)
-	}
 	for {
-		if rec != nil {
-			iterStart = time.Now()
-		}
 		if err := ctx.Err(); err != nil {
 			return Result{
 				Assignment: a,
@@ -182,20 +165,6 @@ func solveCtx(ctx context.Context, p *route.Problem) (Result, error) {
 		a.Choice[bestI] = bestJ
 		done[bestI] = true
 		iterations++
-		if rec != nil {
-			delta := p.Cost(bestI, bestJ) - p.Opt.M
-			for _, q := range p.Partners(bestI) {
-				if a.Choice[q] >= 0 {
-					delta += p.PairCost(bestI, bestJ, q, a.Choice[q])
-				}
-			}
-			obj += delta
-			routed++
-			samp.Record(obj, routed, 0)
-			rec.EmitAt("pd.commit", "pd", iterStart, time.Since(iterStart), obs.Args{
-				"object": float64(bestI), "cand": float64(bestJ), "cost": bestCost,
-			})
-		}
 		// Fault seam: a corrupted commit skips the capacity bookkeeping, so
 		// later commits can over-subscribe the edges this candidate uses —
 		// the independent legality audit must catch the resulting overflow.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/ident"
 	"repro/internal/signal"
-	"repro/internal/topo"
 )
 
 // Delta is a structured design edit: the regions whose capacity or pin
@@ -219,14 +218,6 @@ func (p *Problem) RebuildCtx(ctx context.Context, d *signal.Design, delta Delta)
 		return nil, stats, fmt.Errorf("route: %w", err)
 	}
 	return np, stats, nil
-}
-
-// genCandidates generates the candidate list for one object the same way
-// BuildCtx does: 2-D topology generation, 3-D layer expansion, and the
-// diversity-preserving trim. opt must already carry defaults.
-func genCandidates(gr *grid.Grid, g *signal.Group, obj *ident.Object, opt Options) []topo.Candidate {
-	ots := topo.ObjectTopologies(g, obj, opt.Topo)
-	return trimDiverse(topo.Expand3D(gr, ots, opt.Topo), opt.MaxCandidates)
 }
 
 // candFootprint returns the bounding box, in cell coordinates, of every

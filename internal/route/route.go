@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/geom"
@@ -163,26 +162,7 @@ func BuildCtx(ctx context.Context, d *signal.Design, opt Options) (*Problem, err
 	err := obs.Do(ctx, obs.StageBuild, workers, func(ctx context.Context) error {
 		return parallelFor(ctx, workers, len(p.Objects), func(i int) {
 			obj := &p.Objects[i]
-			g := &d.Groups[obj.GroupIdx]
-			if rec == nil {
-				ots := topo.ObjectTopologies(g, obj, opt.Topo)
-				cands := topo.Expand3D(p.Grid, ots, opt.Topo)
-				p.Cands[i] = trimDiverse(cands, opt.MaxCandidates)
-				return
-			}
-			// Traced build: time the 2-D topology generation and the 3-D
-			// expansion separately, one event pair per object.
-			t0 := time.Now()
-			ots := topo.ObjectTopologies(g, obj, opt.Topo)
-			t1 := time.Now()
-			rec.EmitAt("build.topo", "build", t0, t1.Sub(t0), obs.Args{
-				"object": float64(i), "topologies": float64(len(ots)),
-			})
-			cands := topo.Expand3D(p.Grid, ots, opt.Topo)
-			p.Cands[i] = trimDiverse(cands, opt.MaxCandidates)
-			rec.EmitAt("build.expand", "build", t1, time.Since(t1), obs.Args{
-				"object": float64(i), "candidates": float64(len(p.Cands[i])),
-			})
+			p.Cands[i] = genCandidates(p.Grid, &d.Groups[obj.GroupIdx], obj, opt)
 		})
 	})
 	if err != nil {
@@ -224,6 +204,14 @@ func (p *Problem) indexBits() {
 			}
 		}
 	}
+}
+
+// genCandidates generates the candidate list for one object: 2-D topology
+// generation, 3-D layer expansion, and the diversity-preserving trim.
+// BuildCtx and RebuildCtx both call it. opt must already carry defaults.
+func genCandidates(gr *grid.Grid, g *signal.Group, obj *ident.Object, opt Options) []topo.Candidate {
+	ots := topo.ObjectTopologies(g, obj, opt.Topo)
+	return trimDiverse(topo.Expand3D(gr, ots, opt.Topo), opt.MaxCandidates)
 }
 
 // trimDiverse caps the candidate list at maxN while keeping topology

@@ -313,6 +313,10 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	ctx = obs.WithRecorder(ctx, rec)
 
 	res, outcome, err := s.solve(ctx, r, d, opt)
+	// Every solve that ran reaches the lake and /metrics, failed ones
+	// included, so strict-audit rejections and exhausted chains show up in
+	// the series.
+	s.recordSolve(rec, res, time.Since(start), "streakd")
 	if err != nil {
 		s.respondError(w, r, res, err, start)
 		return
@@ -326,7 +330,6 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 
 	resp := routeResponse(d.Name, res, start)
 	resp.Cache = string(outcome)
-	s.recordSolve(rec, res, time.Since(start), "streakd")
 	if r.URL.Query().Get("stats") == "1" {
 		rep := rec.Report()
 		if res.Usage != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/jobs"
 	"repro/internal/telemetry"
 )
@@ -125,6 +126,54 @@ func TestTelemetryWiredIntoSolvePath(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/debug/telemetry"); code != http.StatusOK {
 		t.Errorf("dashboard status = %d", code)
+	}
+}
+
+// TestTelemetryRecordsFailedSyncSolve pins that a synchronous solve that
+// fails still reaches the lake: a request whose only solver panics (500)
+// and a clean one (200) leave two report records.
+func TestTelemetryRecordsFailedSyncSolve(t *testing.T) {
+	store, err := telemetry.OpenStore(telemetry.StoreConfig{Dir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := telemetry.NewService(store, 64, t.Logf)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		svc.Close(ctx)
+	}()
+
+	plan := faultinject.NewPlan().
+		Arm(faultinject.PDSolve, faultinject.Action{Panic: "chaos", Times: 1})
+	s := New(Config{Telemetry: svc, BaseContext: faultinject.With(context.Background(), plan)})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	d := testDesign(t)
+	for i, want := range []int{http.StatusInternalServerError, http.StatusOK} {
+		if resp := post(t, ts, "/route", designBody(t, d), nil); resp.StatusCode != want {
+			t.Fatalf("route %d status = %d, want %d", i, resp.StatusCode, want)
+		}
+	}
+
+	// The push path is asynchronous by design; poll the store briefly.
+	deadline := time.Now().Add(5 * time.Second)
+	var n int
+	for {
+		n = 0
+		for _, r := range store.Records() {
+			if r.Kind == telemetry.KindReport && r.Source == "streakd" {
+				n++
+			}
+		}
+		if n >= 2 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n != 2 {
+		t.Fatalf("lake has %d report records, want 2 (the failed solve and the clean one)", n)
 	}
 }
 

@@ -120,8 +120,9 @@ func pointLess(a, b geom.Point) bool {
 }
 
 // optionsFingerprint folds every option that can change the solved result
-// into one value. Deliberately excluded: Route.Workers and HierWorkers
-// (results are bit-identical for any worker count by contract), and Audit
+// into one value. Deliberately excluded: Route.Workers (results are
+// bit-identical for any worker count by contract), the ignored
+// HierWorkers, and Audit
 // (the audit annotates a result, it never changes it — the cache attaches
 // or strips reports per request). Options carrying a custom Fallback.Chain
 // never reach the fingerprint: Solve bypasses the cache for them, because

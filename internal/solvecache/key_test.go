@@ -108,7 +108,6 @@ func TestKeyCanonicalization(t *testing.T) {
 	t.Run("worker counts do not change the key", func(t *testing.T) {
 		o := opt
 		o.Route.Workers = 7
-		o.HierWorkers = 3
 		if KeyFor(keyDesign(), o) != base {
 			t.Fatal("parallelism knobs changed the key despite bit-identical results")
 		}

@@ -59,7 +59,9 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 }
 
 // TestIngestReportToSeries is the remote-fleet round trip: POST an
-// obs.Report, then read it back aggregated from the series endpoint.
+// obs.Report, then read it back aggregated from the series endpoint. A
+// report from an older binary that still carries the removed "trace" and
+// "series" fields must ingest too.
 func TestIngestReportToSeries(t *testing.T) {
 	_, ts := newTestService(t)
 
@@ -67,24 +69,29 @@ func TestIngestReportToSeries(t *testing.T) {
 	rec.SetLabel("bench", "remote-design")
 	rec.SetLabel("method", "PrimalDual")
 	rec.Add("pd.iterations", 7)
-	rep := rec.Report()
-	resp := postJSON(t, ts.URL+"/telemetry/v1/reports?source=fleet-7", rep)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("ingest status = %d", resp.StatusCode)
+	older := json.RawMessage(`{"schema":1,"labels":{"bench":"old-design","method":"PrimalDual"},` +
+		`"spans":[{"name":"solve.pd","start_us":0,"dur_us":900}],"counters":{"pd.iterations":3},` +
+		`"trace":[{"name":"pd.commit","cat":"pd","start_us":10,"dur_us":5,"args":{"object":1}}],` +
+		`"events_dropped":2,"series":{"pd":[{"elapsed_us":10,"objective":3000000,"routed":0}]}}`)
+	for _, body := range []any{rec.Report(), older} {
+		resp := postJSON(t, ts.URL+"/telemetry/v1/reports?source=fleet-7", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("ingest status = %d", resp.StatusCode)
+		}
 	}
 
 	var series Series
 	if resp := getJSON(t, ts.URL+"/telemetry/v1/series?metric=all", &series); resp.StatusCode != http.StatusOK {
 		t.Fatalf("series status = %d", resp.StatusCode)
 	}
-	if series.Samples != 1 {
-		t.Fatalf("Samples = %d, want 1", series.Samples)
+	if series.Samples != 2 {
+		t.Fatalf("Samples = %d, want 2", series.Samples)
 	}
 	if series.Latency["PrimalDual"] == nil {
 		t.Errorf("latency missing the ingested method: %+v", series.Latency)
 	}
-	if series.Rates == nil || series.Rates.Solves != 1 {
+	if series.Rates == nil || series.Rates.Solves != 2 {
 		t.Errorf("rates = %+v", series.Rates)
 	}
 }
