@@ -272,7 +272,9 @@ func BenchmarkAblationRegWeight(b *testing.B) {
 // BenchmarkBuildParallel measures the candidate-generation fan-out of
 // route.Build on Industry7: Workers=1 is the sequential baseline,
 // Workers=GOMAXPROCS the parallel build. Candidate sets are bit-identical
-// across worker counts, so ns/op is the only thing that moves.
+// across worker counts. ns/op is the build's wall clock; B/op and
+// allocs/op count everything one build allocates, and barely move with
+// the worker count.
 func BenchmarkBuildParallel(b *testing.B) {
 	d := benchgen.Scale(benchgen.Industry(7), benchScale).Generate()
 	counts := []int{1}

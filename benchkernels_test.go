@@ -80,7 +80,7 @@ func BenchmarkTreeArena(b *testing.B) {
 			obj := &p.Objects[i]
 			g := p.Group(i)
 			ots := topo.ObjectTopologies(g, obj, p.Opt.Topo)
-			cands := topo.Expand3D(p.Grid, ots, p.Opt.Topo)
+			cands := topo.Expand3D(p.Grid, ots, p.Opt.Topo, p.Opt.MaxCandidates)
 			if len(cands) == 0 {
 				b.Fatal("no candidates expanded")
 			}

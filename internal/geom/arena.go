@@ -70,10 +70,11 @@ type Arena struct {
 	vpts  []uint64
 	canon []Seg
 
-	// Tree view scratch (view.go).
+	// SplitAt scratch, and the tree view's (view.go).
 	split []Seg
-	eps   []endpoint
 	pts   []Point
+	query []Point
+	eps   []endpoint
 	nodes []Point
 	ends  []int32
 	off   []int32

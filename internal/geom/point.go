@@ -6,7 +6,10 @@
 // All coordinates are integer G-cell indices. Distances are Manhattan.
 package geom
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+)
 
 // Point is a location on the 2-D G-cell grid.
 type Point struct {
@@ -32,6 +35,15 @@ func (p Point) Less(q Point) bool {
 		return p.X < q.X
 	}
 	return p.Y < q.Y
+}
+
+// Compare orders points like Less, returning -1, 0 or +1; it is the
+// comparison to sort or search point slices with.
+func (p Point) Compare(q Point) int {
+	if c := cmp.Compare(p.X, q.X); c != 0 {
+		return c
+	}
+	return cmp.Compare(p.Y, q.Y)
 }
 
 // Dist returns the Manhattan distance between p and q.

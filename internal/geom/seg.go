@@ -103,23 +103,37 @@ func Overlap(a, b Seg) int {
 // order of segs and along each segment from its lesser endpoint;
 // zero-length segments drop out.
 func SplitAt(segs []Seg, pts []Point) []Seg {
-	var out []Seg
+	out, _ := appendSplit(nil, nil, segs, pts)
+	return out
+}
+
+// SplitAt is SplitAt into arena-owned scratch. The result is valid until
+// the arena's next kernel call or PutArena; callers needing to keep it
+// must copy. segs may be the arena's Canon output.
+func (a *Arena) SplitAt(segs []Seg, pts []Point) []Seg {
+	a.split, a.pts = appendSplit(a.split[:0], a.pts, segs, pts)
+	return a.split
+}
+
+// appendSplit appends the pieces of SplitAt(segs, pts) to dst, using cuts
+// as scratch; it returns both for reuse.
+func appendSplit(dst []Seg, cuts []Point, segs []Seg, pts []Point) ([]Seg, []Point) {
 	for _, s := range segs {
 		n := s.Norm()
-		cuts := []Point{n.A, n.B}
+		cuts = append(cuts[:0], n.A, n.B)
 		for _, p := range pts {
 			if interior(n, p) {
 				cuts = append(cuts, p)
 			}
 		}
-		slices.SortFunc(cuts, cmpPoint)
+		slices.SortFunc(cuts, Point.Compare)
 		for i := 0; i+1 < len(cuts); i++ {
 			if cuts[i] != cuts[i+1] {
-				out = append(out, Seg{A: cuts[i], B: cuts[i+1]})
+				dst = append(dst, Seg{A: cuts[i], B: cuts[i+1]})
 			}
 		}
 	}
-	return out
+	return dst, cuts
 }
 
 // LShape returns the one- or two-segment rectilinear connection between a

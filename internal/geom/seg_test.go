@@ -106,10 +106,17 @@ func TestSplitAt(t *testing.T) {
 		{"zero-length segment drops out", []Seg{S(Pt(1, 1), Pt(1, 1)), h}, []Point{Pt(1, 1)},
 			[]Seg{h}},
 	}
+	a := new(Arena)
 	for _, c := range cases {
 		if got := SplitAt(c.segs, c.pts); !slices.Equal(got, c.want) {
 			t.Errorf("%s: SplitAt = %v, want %v", c.name, got, c.want)
 		}
+		if got := a.SplitAt(c.segs, c.pts); !slices.Equal(got, c.want) {
+			t.Errorf("%s: Arena.SplitAt = %v, want %v", c.name, got, c.want)
+		}
+	}
+	if n := testing.AllocsPerRun(50, func() { a.SplitAt(cases[2].segs, cases[2].pts) }); n != 0 {
+		t.Errorf("Arena.SplitAt allocates %v times per call on a warm arena, want 0", n)
 	}
 }
 

@@ -1,9 +1,6 @@
 package geom
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // This file holds the index-based view of a canonical tree behind
 // Tree.Connected and Tree.PathLengths. The view numbers the distinct
@@ -63,7 +60,11 @@ func (a *Arena) pathLengths(segs []Seg, from Point, to []Point) []int {
 	t := Tree{Segs: segs}
 	onTree := t.OnTree(from)
 	if onTree {
-		a.index(a.cut(a.Canon(segs), from, to))
+		// Cutting the canonical segments at the query points makes them
+		// nodes; the extra degree-2 nodes leave every path length
+		// unchanged.
+		a.query = append(append(a.query[:0], from), to...)
+		a.index(a.SplitAt(a.Canon(segs), a.query))
 		a.distances(a.node(from))
 	}
 	for k, p := range to {
@@ -90,7 +91,7 @@ func (a *Arena) index(segs []Seg) int {
 	for i, s := range segs {
 		eps = append(eps, endpoint{s.A, int32(2 * i)}, endpoint{s.B, int32(2*i + 1)})
 	}
-	slices.SortFunc(eps, func(x, y endpoint) int { return cmpPoint(x.p, y.p) })
+	slices.SortFunc(eps, func(x, y endpoint) int { return x.p.Compare(y.p) })
 	a.eps = eps
 	ends := resize(a.ends, len(eps))
 	nodes := a.nodes[:0]
@@ -113,41 +114,11 @@ type endpoint struct {
 
 // node returns the view index of p, or -1 when p is not a node.
 func (a *Arena) node(p Point) int32 {
-	i, ok := slices.BinarySearchFunc(a.nodes, p, cmpPoint)
+	i, ok := slices.BinarySearchFunc(a.nodes, p, Point.Compare)
 	if !ok {
 		return -1
 	}
 	return int32(i)
-}
-
-// cut returns the canonical segments segs with each one split at from and
-// at every point of to that lies in its interior. Canonical segments run
-// from their lesser endpoint to their greater one, so the sorted cut points
-// come in order along each segment. Extra cuts add degree-2 nodes and leave
-// every path length unchanged.
-func (a *Arena) cut(segs []Seg, from Point, to []Point) []Seg {
-	out := a.split[:0]
-	for _, s := range segs {
-		pts := a.pts[:0]
-		if interior(s, from) {
-			pts = append(pts, from)
-		}
-		for _, p := range to {
-			if interior(s, p) {
-				pts = append(pts, p)
-			}
-		}
-		slices.SortFunc(pts, cmpPoint)
-		a.pts = slices.Compact(pts)
-		prev := s.A
-		for _, p := range a.pts {
-			out = append(out, Seg{A: prev, B: p})
-			prev = p
-		}
-		out = append(out, Seg{A: prev, B: s.B})
-	}
-	a.split = out
-	return out
 }
 
 // distances fills a.dist with the path length from node src to every node
@@ -204,13 +175,6 @@ func (a *Arena) distances(src int32) {
 			}
 		}
 	}
-}
-
-func cmpPoint(p, q Point) int {
-	if c := cmp.Compare(p.X, q.X); c != 0 {
-		return c
-	}
-	return cmp.Compare(p.Y, q.Y)
 }
 
 func interior(s Seg, p Point) bool { return p != s.A && p != s.B && s.Contains(p) }

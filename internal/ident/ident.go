@@ -2,15 +2,14 @@
 // partitions each signal group into routing objects such that every bit in
 // an object has the same similarity vector for every pin, which guarantees
 // an equivalent topology exists for all of them. The partition is
-// hierarchical, as in Fig. 5(b): bits are first split by driver SV (cheap),
-// then by the SVs of the remaining pins, so dissimilar bits are separated
-// early without computing every pin's vector against every other bit.
+// hierarchical, as in Fig. 5(b): each bit's key leads with its driver SV,
+// then the SVs of the remaining pins, so bits part by one lookup on that
+// key instead of being compared against every other bit.
 package ident
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"encoding/binary"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/signal"
@@ -47,19 +46,53 @@ func (o *Object) Bits(g *signal.Group) []*signal.Bit {
 	return out
 }
 
-// signature produces the canonical isomorphism key of a bit: its pin count,
-// the driver SV, and the sorted SVs of all pins. Bits are topologically
-// equivalent candidates iff their signatures match.
-func signature(b *signal.Bit) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "n%d|d%s|", len(b.Pins), b.DriverSV())
-	svs := make([]string, 0, len(b.Pins))
+// pinKey is one pin of a bit with its similarity vector.
+type pinKey struct {
+	sv  signal.SV
+	pin int
+}
+
+func cmpPinKey(a, b pinKey) int { return slices.Compare(a.sv[:], b.sv[:]) }
+
+// canonicalPinKeys fills keys with the bit's pins in canonical order,
+// sorted by SV. The order is total: two pins at different locations never
+// share an SV, because when q lies in direction d of p, p counts q and
+// every pin q counts in direction d, so p's count in d is larger. Members
+// of an object share one set of pin SVs, so their canonical orders align
+// corresponding pins.
+func canonicalPinKeys(keys []pinKey, b *signal.Bit) []pinKey {
+	keys = keys[:0]
 	for i := range b.Pins {
-		svs = append(svs, b.PinSV(i).String())
+		keys = append(keys, pinKey{sv: b.PinSV(i), pin: i})
 	}
-	sort.Strings(svs)
-	sb.WriteString(strings.Join(svs, ";"))
-	return sb.String()
+	slices.SortFunc(keys, cmpPinKey)
+	return keys
+}
+
+// appendSignature appends the canonical isomorphism key of a bit to sig:
+// its pin count, the driver SV, and the SVs of all pins in canonical
+// order. Bits are topologically equivalent candidates iff their
+// signatures match. keys is the bit's canonicalPinKeys.
+func appendSignature(sig []byte, b *signal.Bit, keys []pinKey) []byte {
+	sig = binary.AppendUvarint(sig, uint64(len(keys)))
+	for _, k := range keys {
+		if k.pin == b.Driver {
+			sig = appendSV(sig, k.sv)
+		}
+	}
+	for _, k := range keys {
+		sig = appendSV(sig, k.sv)
+	}
+	return sig
+}
+
+// appendSV appends the vector as one uvarint per entry; SV entries count
+// pins and are never negative.
+func appendSV(sig []byte, sv signal.SV) []byte {
+	for _, n := range sv {
+		sig = binary.AppendUvarint(sig, uint64(n))
+	}
+	return sig
 }
 
 // Partition splits the group into routing objects. Bits with identical
@@ -67,35 +100,38 @@ func signature(b *signal.Bit) string {
 // representative bit and per-bit pin mappings. The order of objects is
 // deterministic (by first member bit index).
 func Partition(groupIdx int, g *signal.Group) []Object {
-	// Level 1: split by driver SV (the middle, blue nodes of Fig. 5(b)).
-	byDriver := make(map[signal.SV][]int)
+	// Each bit is keyed on its signature, which leads with the driver SV:
+	// bits with different drivers part on the key's first entries (the
+	// middle, blue nodes of Fig. 5(b)), and the remaining pin SVs split
+	// them further (the gray leaf nodes).
+	orders := make([][]int, len(g.Bits))
+	pins := make([]int, 0, g.NumPins())
+	classOf := make(map[string]int)
+	var classes [][]int
+	var keys []pinKey
+	var sig []byte
 	for bi := range g.Bits {
-		sv := g.Bits[bi].DriverSV()
-		byDriver[sv] = append(byDriver[sv], bi)
-	}
-	// Level 2: within a driver class, split by the full pin-SV signature
-	// (the gray leaf nodes). Only bits that already share a driver SV reach
-	// this more expensive comparison.
-	bySig := make(map[string][]int)
-	for _, members := range byDriver {
-		for _, bi := range members {
-			sig := signature(&g.Bits[bi])
-			bySig[sig] = append(bySig[sig], bi)
+		b := &g.Bits[bi]
+		keys = canonicalPinKeys(keys, b)
+		for _, k := range keys {
+			pins = append(pins, k.pin)
+		}
+		orders[bi] = pins[len(pins)-len(keys) : len(pins) : len(pins)]
+		sig = appendSignature(sig[:0], b, keys)
+		if c, ok := classOf[string(sig)]; ok {
+			classes[c] = append(classes[c], bi)
+		} else {
+			classOf[string(sig)] = len(classes)
+			classes = append(classes, []int{bi})
 		}
 	}
-	sigs := make([]string, 0, len(bySig))
-	for s := range bySig {
-		sigs = append(sigs, s)
-	}
-	sort.Slice(sigs, func(i, j int) bool { return bySig[sigs[i]][0] < bySig[sigs[j]][0] })
-
+	// Bits are visited in index order, so classes come sorted by their
+	// first member and list their members ascending.
 	var out []Object
-	for _, s := range sigs {
-		members := bySig[s]
-		sort.Ints(members)
+	for _, members := range classes {
 		o := Object{GroupIdx: groupIdx, BitIdx: members}
 		o.Rep = centerRep(g, members)
-		o.PinMap = buildPinMaps(g, members, o.Rep)
+		o.PinMap = buildPinMaps(orders, members, o.Rep)
 		out = append(out, o)
 	}
 	return out
@@ -128,30 +164,13 @@ func centerRep(g *signal.Group, members []int) int {
 	return best
 }
 
-// canonicalPinOrder returns the bit's pin indices sorted by (SV, offset
-// from driver). Pins with equal SVs are disambiguated by their relative
-// offset, making cross-bit mapping deterministic and consistent.
-func canonicalPinOrder(b *signal.Bit) []int {
-	idx := make([]int, len(b.Pins))
-	keys := make([]string, len(b.Pins))
-	drv := b.DriverLoc()
-	for i := range idx {
-		idx[i] = i
-		off := b.Pins[i].Loc.Sub(drv)
-		keys[i] = fmt.Sprintf("%s|%08d|%08d", b.PinSV(i), off.X+1<<20, off.Y+1<<20)
-	}
-	sort.Slice(idx, func(a, c int) bool { return keys[idx[a]] < keys[idx[c]] })
-	return idx
-}
-
-// buildPinMaps maps each member bit's pins onto the representative's pins.
-// Because all members share the same SV signature, sorting both pin lists
-// by canonical order aligns corresponding pins positionally.
-func buildPinMaps(g *signal.Group, members []int, rep int) [][]int {
-	repOrder := canonicalPinOrder(&g.Bits[members[rep]])
+// buildPinMaps maps each member bit's pins onto the representative's pins
+// by position in their canonical orders.
+func buildPinMaps(orders [][]int, members []int, rep int) [][]int {
+	repOrder := orders[members[rep]]
 	maps := make([][]int, len(members))
 	for k, bi := range members {
-		order := canonicalPinOrder(&g.Bits[bi])
+		order := orders[bi]
 		m := make([]int, len(order))
 		for pos, repPin := range repOrder {
 			m[repPin] = order[pos]

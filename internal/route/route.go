@@ -8,7 +8,7 @@ package route
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/faultinject"
@@ -34,11 +34,11 @@ type Options struct {
 	// LayerPenalty is charged per layer of distance between the shared
 	// trunks of two candidates. Default 4.
 	LayerPenalty float64
-	// MaxCandidates caps the 3-D candidates kept per object. Default 8.
+	// MaxCandidates caps the 3-D candidates kept per object. Default 12.
 	MaxCandidates int
 	// PairNeighbors bounds, per object, how many same-group neighbor
 	// objects contribute pair terms (objects are neighbored in index
-	// order). Zero means all pairs. Large multipin groups otherwise
+	// order). Negative means all pairs. Large multipin groups otherwise
 	// explode quadratically. Default 4.
 	PairNeighbors int
 	// Workers sizes the worker pool used for candidate generation and the
@@ -207,44 +207,10 @@ func (p *Problem) indexBits() {
 }
 
 // genCandidates generates the candidate list for one object: 2-D topology
-// generation, 3-D layer expansion, and the diversity-preserving trim.
+// generation, then 3-D layer expansion with the diversity-preserving trim.
 // BuildCtx and RebuildCtx both call it. opt must already carry defaults.
 func genCandidates(gr *grid.Grid, g *signal.Group, obj *ident.Object, opt Options) []topo.Candidate {
-	ots := topo.ObjectTopologies(g, obj, opt.Topo)
-	return trimDiverse(topo.Expand3D(gr, ots, opt.Topo), opt.MaxCandidates)
-}
-
-// trimDiverse caps the candidate list at maxN while keeping topology
-// diversity: candidates are taken round-robin across 2-D topologies in
-// cost order, so a cheap topology's layer variants cannot crowd out the
-// detour topologies the solver needs under congestion.
-func trimDiverse(cands []topo.Candidate, maxN int) []topo.Candidate {
-	if len(cands) <= maxN {
-		return cands
-	}
-	byTopo := make(map[int][]topo.Candidate)
-	var order []int
-	for _, c := range cands { // already cost-sorted
-		if _, seen := byTopo[c.TopoIdx]; !seen {
-			order = append(order, c.TopoIdx)
-		}
-		byTopo[c.TopoIdx] = append(byTopo[c.TopoIdx], c)
-	}
-	out := make([]topo.Candidate, 0, maxN)
-	for round := 0; len(out) < maxN; round++ {
-		added := false
-		for _, ti := range order {
-			if round < len(byTopo[ti]) && len(out) < maxN {
-				out = append(out, byTopo[ti][round])
-				added = true
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
-	return out
+	return topo.Expand3D(gr, topo.ObjectTopologies(g, obj, opt.Topo), opt.Topo, opt.MaxCandidates)
 }
 
 // Group returns the signal group owning object i.
@@ -264,38 +230,36 @@ func (p *Problem) Cost(i, j int) float64 {
 }
 
 // Partners returns the same-group objects that contribute pair terms with
-// object i, respecting the PairNeighbors bound.
-func (p *Problem) Partners(i int) []int {
+// object i, respecting the PairNeighbors bound, in ascending order. The
+// list is computed once at build and shared: callers must treat it as
+// read-only.
+func (p *Problem) Partners(i int) []int { return p.kern.partners[i] }
+
+// partnersOf computes Partners(i): the objects of i's group within
+// PairNeighbors positions of it in the group's object list (all of them
+// when PairNeighbors is negative).
+func (p *Problem) partnersOf(i int) []int {
 	objs := p.GroupObjs[p.Objects[i].GroupIdx]
-	if len(objs) <= 1 {
+	pos := slices.Index(objs, i)
+	lo, hi := 0, len(objs)
+	if n := p.Opt.PairNeighbors; n > 0 {
+		lo, hi = max(pos-n, 0), min(pos+n+1, len(objs))
+	}
+	if hi-lo <= 1 {
 		return nil
 	}
-	pos := -1
-	for k, oi := range objs {
-		if oi == i {
-			pos = k
-			break
-		}
-	}
-	var out []int
-	for k, oi := range objs {
-		if oi == i {
-			continue
-		}
-		if p.Opt.PairNeighbors > 0 && iabs(k-pos) > p.Opt.PairNeighbors {
-			continue
-		}
-		out = append(out, oi)
-	}
-	return out
+	out := make([]int, 0, hi-lo-1)
+	out = append(out, objs[lo:pos]...)
+	return append(out, objs[pos+1:hi]...)
 }
 
 // PairCost returns c(i,j,p,q) of formulation (3a): the irregularity cost of
 // simultaneously selecting candidate j of object i and candidate r of
 // object q. Objects in different groups never pay pair costs. The
 // regularity ratio behind the cost comes from the precomputed pair-cost
-// kernel (two array indexings per lookup; see kernel.go), so the method is
-// safe to call from concurrent solver legs.
+// kernel (a search of i's stored partner list, at most 2·PairNeighbors
+// long, then one table load; see kernel.go), so the method is safe to call
+// from concurrent solver legs.
 func (p *Problem) PairCost(i, j, q, r int) float64 {
 	if p.Objects[i].GroupIdx != p.Objects[q].GroupIdx || i == q {
 		return 0

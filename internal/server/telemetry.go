@@ -17,9 +17,10 @@ import (
 
 // recordSolve folds one finished solve into the observability surfaces.
 // res may be nil (the solve failed before producing a result); rec is the
-// request's recorder. elapsed is the server-side wall clock — for cache
-// hits, the only latency there is (a hit never enters the pipeline, so it
-// has no "run" span).
+// request's recorder. The lake record's duration is the recorder's "run"
+// span; elapsed, the server-side wall clock that also counts body decode
+// and admission wait, stands in only when there is no run span — for cache
+// hits, the only latency there is (a hit never enters the pipeline).
 func (s *Server) recordSolve(rec *obs.Recorder, res *core.Result, elapsed time.Duration, source string) {
 	for name, v := range rec.Counters() {
 		s.agg.Add(name, v)
@@ -35,7 +36,9 @@ func (s *Server) recordSolve(rec *obs.Recorder, res *core.Result, elapsed time.D
 		rep.Congestion = obs.SnapshotCongestion(res.Usage, 0)
 	}
 	sr := telemetry.DistillReport(rep)
-	sr.DurUS = elapsed.Microseconds()
+	if sr.DurUS == 0 {
+		sr.DurUS = elapsed.Microseconds()
+	}
 	if res != nil {
 		if sr.Solver == "" {
 			sr.Solver = res.SolverUsed

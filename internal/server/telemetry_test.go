@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/jobs"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -220,5 +221,47 @@ func TestTelemetryAsyncJobAttemptsRecorded(t *testing.T) {
 			t.Fatalf("no jobs-sourced record in the lake; records: %+v", store.Records())
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// TestRecordSolveKeepsRunSpan pins the lake record's duration to the
+// solve's run span: the server's elapsed time, which also counts body
+// decode and admission wait, stands in only for a recorder without a run
+// span, as on a cache hit.
+func TestRecordSolveKeepsRunSpan(t *testing.T) {
+	store, err := telemetry.OpenStore(telemetry.StoreConfig{Dir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := telemetry.NewService(store, 64, t.Logf)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		svc.Close(ctx)
+	}()
+	s := New(Config{Telemetry: svc})
+
+	solved := obs.NewRecorder()
+	sp := solved.StartSpan("run")
+	time.Sleep(3 * time.Millisecond)
+	sp.End()
+	span := solved.Report().SpanTotal("run").Microseconds()
+	s.recordSolve(solved, nil, time.Hour, "solved")
+	s.recordSolve(obs.NewRecorder(), nil, 2*time.Second, "hit")
+
+	want := map[string]int64{"solved": span, "hit": (2 * time.Second).Microseconds()}
+	deadline := time.Now().Add(5 * time.Second)
+	var recs []telemetry.Record
+	for len(recs) < len(want) && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		recs = store.Records()
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("lake has %d records, want %d", len(recs), len(want))
+	}
+	for _, r := range recs {
+		if got := r.Report.DurUS; got != want[r.Source] {
+			t.Errorf("%s: dur_us = %d, want %d", r.Source, got, want[r.Source])
+		}
 	}
 }

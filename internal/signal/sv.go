@@ -107,37 +107,17 @@ func (b *Bit) PinSV(i int) SV {
 // DriverSV returns the similarity vector of the bit's driver.
 func (b *Bit) DriverSV() SV { return b.PinSV(b.Driver) }
 
-// WeightedPinSV returns the driver-weighted SV of pin i: like PinSV, but
-// the driver pin contributes `weight` instead of 1 to its direction bucket.
-// The paper sets weight above the total pin count so that the relative
-// position to the driver dominates pin matching across bits with different
-// pin counts (§III-B3).
-func (b *Bit) WeightedPinSV(i, weight int) SV {
-	var v SV
-	from := b.Pins[i].Loc
-	for j, q := range b.Pins {
-		if j == i {
-			continue
-		}
-		d := DirOf(from, q.Loc)
-		if d < 0 {
-			continue
-		}
-		if j == b.Driver {
-			v[d] += weight
-		} else {
-			v[d]++
-		}
-	}
-	return v
-}
-
 // DriverWeightFor returns the driver weight to use for a bit: one more than
 // the pin count, "higher than the overall number of pins".
 func DriverWeightFor(b *Bit) int { return len(b.Pins) + 1 }
 
-// WeightedPointSV computes the driver-weighted SV of an arbitrary point
-// (e.g. a topology bending point) relative to the bit's pins.
+// WeightedPointSV computes the driver-weighted SV of a point — a pin
+// location or a topology bending point — relative to the bit's pins: like
+// PinSV, but the driver pin contributes `weight` instead of 1 to its
+// direction bucket, and the pins coincident with p (at a pin location, the
+// pin itself) count nowhere. The paper sets weight above the total pin
+// count so that the relative position to the driver dominates pin matching
+// across bits with different pin counts (§III-B3).
 func WeightedPointSV(p geom.Point, b *Bit, weight int) SV {
 	var v SV
 	for j, q := range b.Pins {

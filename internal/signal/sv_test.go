@@ -122,6 +122,8 @@ func TestSVScaleInvariant(t *testing.T) {
 	}
 }
 
+// TestWeightedPinSV checks the driver-weighted SV of a pin, which is
+// WeightedPointSV at the pin's location.
 func TestWeightedPinSV(t *testing.T) {
 	b := Bit{Driver: 0, Pins: []Pin{
 		{Loc: geom.Pt(0, 0)}, {Loc: geom.Pt(2, 2)}, {Loc: geom.Pt(4, 4)},
@@ -131,13 +133,13 @@ func TestWeightedPinSV(t *testing.T) {
 		t.Fatalf("DriverWeightFor = %d, want 4", w)
 	}
 	// From sink 1: driver in Q3 with weight, sink 2 in Q1.
-	got := b.WeightedPinSV(1, w)
+	got := WeightedPointSV(b.Pins[1].Loc, &b, w)
 	want := SV{0, 1, 0, 0, 0, 4, 0, 0}
 	if got != want {
 		t.Errorf("weighted SV = %v, want %v", got, want)
 	}
 	// Unweighted equals PinSV with weight 1.
-	if b.WeightedPinSV(1, 1) != b.PinSV(1) {
+	if WeightedPointSV(b.Pins[1].Loc, &b, 1) != b.PinSV(1) {
 		t.Error("weight 1 should equal PinSV")
 	}
 }

@@ -2,7 +2,7 @@ package topo
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/signal"
@@ -12,23 +12,10 @@ import (
 // segments additionally split at the bit's pin locations, so every RC runs
 // between two features (pins, corners, or junctions).
 func RCs(t geom.Tree, pins []geom.Point) []geom.Seg {
-	var out []geom.Seg
-	for _, s := range t.Canon().Segs {
-		n := s.Norm()
-		cuts := []geom.Point{n.A, n.B}
-		for _, p := range pins {
-			if n.Contains(p) && p != n.A && p != n.B {
-				cuts = append(cuts, p)
-			}
-		}
-		sort.Slice(cuts, func(i, j int) bool { return cuts[i].Less(cuts[j]) })
-		for i := 0; i+1 < len(cuts); i++ {
-			if cuts[i] != cuts[i+1] {
-				out = append(out, geom.Seg{A: cuts[i], B: cuts[i+1]})
-			}
-		}
-	}
-	return out
+	ar := geom.GetArena()
+	rcs := geom.SplitAt(ar.Canon(t.Segs), pins)
+	geom.PutArena(ar)
+	return rcs
 }
 
 // feature is a matchable topology point: a pin or a bending point, with its
@@ -38,38 +25,49 @@ type feature struct {
 	sv signal.SV
 }
 
-// features lists the distinct RC endpoints of the topology with weighted
-// SVs computed against the bit's pins.
-func features(rcs []geom.Seg, bit *signal.Bit) []feature {
-	w := signal.DriverWeightFor(bit)
-	pinIdx := make(map[geom.Point]int, len(bit.Pins))
-	for i, p := range bit.Pins {
-		if _, seen := pinIdx[p.Loc]; !seen {
-			pinIdx[p.Loc] = i
-		}
-	}
-	seen := make(map[geom.Point]bool)
-	var out []feature
-	add := func(p geom.Point) {
-		if seen[p] {
-			return
-		}
-		seen[p] = true
-		var sv signal.SV
-		if i, isPin := pinIdx[p]; isPin {
-			sv = bit.WeightedPinSV(i, w)
-		} else {
-			sv = signal.WeightedPointSV(p, bit, w)
-		}
-		out = append(out, feature{p, sv})
-	}
-	for _, s := range rcs {
-		add(s.A)
-		add(s.B)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].p.Less(out[j].p) })
-	return out
+// regularity is one tree's side of the regularity ratio (Eq. 2), derived
+// once per tree: its features — the distinct RC endpoints, sorted by point,
+// with SVs weighted against the bit's pins — and its RCs, each packed as
+// the feature indices of its endpoints (lesser first, in the high word),
+// sorted.
+type regularity struct {
+	feats []feature
+	rcs   []uint64
 }
+
+func newRegularity(t geom.Tree, bit *signal.Bit) regularity {
+	ar := geom.GetArena()
+	defer geom.PutArena(ar)
+	rcs := ar.SplitAt(ar.Canon(t.Segs), bit.PinLocs()) // RCs(t, pins)
+	if len(rcs) == 0 {
+		return regularity{}
+	}
+	r := regularity{feats: make([]feature, 0, 2*len(rcs)), rcs: make([]uint64, len(rcs))}
+	for _, s := range rcs {
+		r.feats = append(r.feats, feature{p: s.A}, feature{p: s.B})
+	}
+	slices.SortFunc(r.feats, func(a, b feature) int { return a.p.Compare(b.p) })
+	r.feats = slices.CompactFunc(r.feats, func(a, b feature) bool { return a.p == b.p })
+	// At a pin's location WeightedPointSV is the pin's weighted SV.
+	w := signal.DriverWeightFor(bit)
+	for i := range r.feats {
+		r.feats[i].sv = signal.WeightedPointSV(r.feats[i].p, bit, w)
+	}
+	for i, s := range rcs {
+		// RCs are normalized, so A sorts before B.
+		r.rcs[i] = rcKey(r.featureAt(s.A), r.featureAt(s.B))
+	}
+	slices.Sort(r.rcs)
+	return r
+}
+
+// featureAt returns the index of the feature at p.
+func (r *regularity) featureAt(p geom.Point) int {
+	i, _ := slices.BinarySearchFunc(r.feats, p, func(f feature, p geom.Point) int { return f.p.Compare(p) })
+	return i
+}
+
+func rcKey(lo, hi int) uint64 { return uint64(lo)<<32 | uint64(hi) }
 
 // Ratio computes the regularity ratio of two topologies (Eq. 2): pins and
 // bending points are matched across the topologies by closest weighted SV;
@@ -77,62 +75,49 @@ func features(rcs []geom.Seg, bit *signal.Bit) []feature {
 // other topology, divided by the smaller RC count. The result is symmetric
 // and lies in [0, 1]; 1 means the topologies share one structure.
 func Ratio(t1 geom.Tree, bit1 *signal.Bit, t2 geom.Tree, bit2 *signal.Bit) float64 {
-	rc1 := RCs(t1, bit1.PinLocs())
-	rc2 := RCs(t2, bit2.PinLocs())
-	if len(rc1) == 0 || len(rc2) == 0 {
-		if len(rc1) == 0 && len(rc2) == 0 {
-			return 1
-		}
-		return 0
-	}
-	f1 := features(rc1, bit1)
-	f2 := features(rc2, bit2)
-	m12 := matchedRCs(rc1, f1, rc2, f2)
-	m21 := matchedRCs(rc2, f2, rc1, f1)
-	matched := m12
-	if m21 > matched {
-		matched = m21
-	}
-	minRC := len(rc1)
-	if len(rc2) < minRC {
-		minRC = len(rc2)
-	}
-	if matched > minRC {
-		matched = minRC
-	}
-	return float64(matched) / float64(minRC)
+	r1, r2 := newRegularity(t1, bit1), newRegularity(t2, bit2)
+	v, _ := r1.ratio(&r2, nil)
+	return v
 }
 
-// matchedRCs maps every feature of side 1 to its closest-SV feature on side
-// 2 and counts the RCs of side 1 whose mapped endpoints form an RC of side
-// 2.
-func matchedRCs(rc1 []geom.Seg, f1 []feature, rc2 []geom.Seg, f2 []feature) int {
-	mapped := make(map[geom.Point]geom.Point, len(f1))
-	for _, f := range f1 {
-		best := 0
-		bestD := f.sv.L1(f2[0].sv)
-		for i := 1; i < len(f2); i++ {
-			if d := f.sv.L1(f2[i].sv); d < bestD {
-				best, bestD = i, d
+// ratio compares two derived trees as Ratio does. best is scratch; ratio
+// grows it as needed and returns it for reuse.
+func (r *regularity) ratio(o *regularity, best []int32) (float64, []int32) {
+	n1, n2 := len(r.rcs), len(o.rcs)
+	if n1 == 0 || n2 == 0 {
+		if n1 == 0 && n2 == 0 {
+			return 1, best
+		}
+		return 0, best
+	}
+	best = slices.Grow(best[:0], max(len(r.feats), len(o.feats)))
+	minRC := min(n1, n2)
+	matched := min(max(r.matchedRCs(o, best), o.matchedRCs(r, best)), minRC)
+	return float64(matched) / float64(minRC), best
+}
+
+// matchedRCs maps every feature of r to its closest-SV feature of o (the
+// first in point order on a tie) and counts the RCs of r whose mapped
+// endpoints form an RC of o. best is scratch with capacity for r's
+// features.
+func (r *regularity) matchedRCs(o *regularity, best []int32) int {
+	best = best[:len(r.feats)]
+	for i, f := range r.feats {
+		b, bestD := 0, f.sv.L1(o.feats[0].sv)
+		for j := 1; j < len(o.feats); j++ {
+			if d := f.sv.L1(o.feats[j].sv); d < bestD {
+				b, bestD = j, d
 			}
 		}
-		mapped[f.p] = f2[best].p
-	}
-	rcSet := make(map[[2]geom.Point]bool, len(rc2))
-	for _, s := range rc2 {
-		n := s.Norm()
-		rcSet[[2]geom.Point{n.A, n.B}] = true
+		best[i] = int32(b)
 	}
 	count := 0
-	for _, s := range rc1 {
-		a, b := mapped[s.A], mapped[s.B]
+	for _, k := range r.rcs {
+		a, b := int(best[k>>32]), int(best[uint32(k)])
 		if a == b {
 			continue
 		}
-		if b.Less(a) {
-			a, b = b, a
-		}
-		if rcSet[[2]geom.Point{a, b}] {
+		if _, ok := slices.BinarySearch(o.rcs, rcKey(min(a, b), max(a, b))); ok {
 			count++
 		}
 	}
@@ -141,28 +126,36 @@ func matchedRCs(rc1 []geom.Seg, f1 []feature, rc2 []geom.Seg, f2 []feature) int 
 
 // RatioTable computes the dense table of regularity ratios between every
 // backbone pair of two objects: entry [i*len(b2)+j] is Ratio(b1[i], bit1,
-// b2[j], bit2). Nil backbones (2-D topologies that produced no surviving
-// candidate) yield NaN entries, which callers must never index — the
-// corresponding topology pair cannot be selected.
+// b2[j], bit2). Each backbone is derived once. Nil backbones (2-D
+// topologies that produced no surviving candidate) yield NaN entries,
+// which callers must never index — the corresponding topology pair cannot
+// be selected.
 func RatioTable(b1 []*geom.Tree, bit1 *signal.Bit, b2 []*geom.Tree, bit2 *signal.Bit) []float64 {
+	r1, r2 := derive(b1, bit1), derive(b2, bit2)
 	tab := make([]float64, len(b1)*len(b2))
-	for i, t1 := range b1 {
+	var best []int32
+	for i := range b1 {
 		row := tab[i*len(b2) : (i+1)*len(b2)]
-		if t1 == nil {
-			for j := range row {
-				row[j] = math.NaN()
-			}
-			continue
-		}
-		for j, t2 := range b2 {
-			if t2 == nil {
+		for j := range b2 {
+			if b1[i] == nil || b2[j] == nil {
 				row[j] = math.NaN()
 				continue
 			}
-			row[j] = Ratio(*t1, bit1, *t2, bit2)
+			row[j], best = r1[i].ratio(&r2[j], best)
 		}
 	}
 	return tab
+}
+
+// derive returns the regularity of every non-nil tree, indexed like ts.
+func derive(ts []*geom.Tree, bit *signal.Bit) []regularity {
+	out := make([]regularity, len(ts))
+	for i, t := range ts {
+		if t != nil {
+			out[i] = newRegularity(*t, bit)
+		}
+	}
+	return out
 }
 
 // PairIrregularity converts a regularity ratio into the cost contribution

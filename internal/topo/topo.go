@@ -7,6 +7,7 @@
 package topo
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -30,7 +31,7 @@ type Options struct {
 	// Default 2.
 	ViaWeight int
 	// MaxLayerPairs bounds how many (H layer, V layer) combinations are
-	// expanded per 2-D topology. Default 4.
+	// expanded per 2-D topology. Default 6.
 	MaxLayerPairs int
 }
 
@@ -96,21 +97,25 @@ func Equivalent(backbone geom.Tree, rep, bit *signal.Bit, pinMap []int) (t geom.
 		}
 		return geom.Pt(x, y), true
 	}
-	var out geom.Tree
-	for _, s := range backbone.Canon().Segs {
+	ar := geom.GetArena()
+	canon := ar.Canon(backbone.Segs)
+	out := geom.Tree{Segs: make([]geom.Seg, 0, len(canon))}
+	ok = true
+	for _, s := range canon {
 		a, oka := mapPt(s.A)
 		b, okb := mapPt(s.B)
-		if !oka || !okb {
-			return geom.Tree{}, false
-		}
-		if a.X != b.X && a.Y != b.Y {
-			return geom.Tree{}, false // mapping broke axis alignment
+		// A node off the LUT, or a mapping that breaks axis alignment,
+		// fails the bit.
+		if !oka || !okb || a.X != b.X && a.Y != b.Y {
+			ok = false
+			break
 		}
 		if a != b {
-			out.Append(geom.S(a, b))
+			out.Segs = append(out.Segs, geom.Seg{A: a, B: b}.Norm())
 		}
 	}
-	if !out.Connected(bit.PinLocs()) {
+	geom.PutArena(ar)
+	if !ok || !out.Connected(bit.PinLocs()) {
 		return geom.Tree{}, false
 	}
 	return out, true
@@ -149,7 +154,11 @@ func ObjectTopologies(g *signal.Group, obj *ident.Object, opt Options) []ObjectT
 	rep := obj.RepBit(g)
 	var out []ObjectTopology
 	for _, bb := range Backbones(g, obj, opt) {
-		ot := ObjectTopology{Backbone: bb}
+		ot := ObjectTopology{
+			Backbone:   bb,
+			BitTrees:   make([]geom.Tree, 0, len(obj.BitIdx)),
+			Equivalent: make([]bool, 0, len(obj.BitIdx)),
+		}
 		for k, bi := range obj.BitIdx {
 			bit := &g.Bits[bi]
 			t, ok := Equivalent(bb, rep, bit, obj.PinMap[k])
@@ -162,7 +171,7 @@ func ObjectTopologies(g *signal.Group, obj *ident.Object, opt Options) []ObjectT
 		out = append(out, ot)
 	}
 	if len(out) > 0 {
-		var pinSets [][]geom.Point
+		pinSets := make([][]geom.Point, 0, len(obj.BitIdx))
 		for _, bi := range obj.BitIdx {
 			pinSets = append(pinSets, g.Bits[bi].PinLocs())
 		}
@@ -181,7 +190,10 @@ func ObjectTopologies(g *signal.Group, obj *ident.Object, opt Options) []ObjectT
 // the object's regularity is preserved. Returns ok=false when any tree has
 // no segment to shift.
 func shiftTopology(ot ObjectTopology, repPins []geom.Point, pinSets [][]geom.Point, d int) (ObjectTopology, bool) {
-	out := ObjectTopology{Equivalent: append([]bool(nil), ot.Equivalent...)}
+	out := ObjectTopology{
+		BitTrees:   make([]geom.Tree, 0, len(ot.BitTrees)),
+		Equivalent: append([]bool(nil), ot.Equivalent...),
+	}
 	var ok bool
 	if out.Backbone, ok = shiftTree(ot.Backbone, repPins, d); !ok {
 		return ObjectTopology{}, false
@@ -200,7 +212,8 @@ func shiftTopology(ot ObjectTopology, repPins []geom.Point, pinSets [][]geom.Poi
 // are first split at pin locations so no pin can sit in the interior of
 // the moved run — otherwise the shift would disconnect it.
 func shiftTree(t geom.Tree, pins []geom.Point, d int) (geom.Tree, bool) {
-	segs := geom.SplitAt(t.Canon().Segs, pins)
+	ar := geom.GetArena()
+	segs := ar.SplitAt(ar.Canon(t.Segs), pins)
 	best := -1
 	for i, s := range segs {
 		if best == -1 || s.Len() > segs[best].Len() {
@@ -208,6 +221,7 @@ func shiftTree(t geom.Tree, pins []geom.Point, d int) (geom.Tree, bool) {
 		}
 	}
 	if best == -1 || segs[best].Len() < 2 {
+		geom.PutArena(ar)
 		return geom.Tree{}, false
 	}
 	s := segs[best].Norm()
@@ -218,13 +232,13 @@ func shiftTree(t geom.Tree, pins []geom.Point, d int) (geom.Tree, bool) {
 		off = geom.Pt(d, 0)
 	}
 	a, b := s.A.Add(off), s.B.Add(off)
-	var out geom.Tree
-	for i, seg := range segs {
-		if i != best {
-			out.Append(seg)
-		}
-	}
-	out.Append(geom.S(s.A, a), geom.S(a, b), geom.S(b, s.B))
+	// The split pieces are normalized and non-degenerate, and so are the
+	// three legs of the jog (d != 0, and the moved run is at least 2 long).
+	out := geom.Tree{Segs: make([]geom.Seg, 0, len(segs)+2)}
+	out.Segs = append(out.Segs, segs[:best]...)
+	out.Segs = append(out.Segs, segs[best+1:]...)
+	out.Segs = append(out.Segs, geom.S(s.A, a).Norm(), geom.S(a, b).Norm(), geom.S(b, s.B).Norm())
+	geom.PutArena(ar)
 	if !out.Connected(pins) {
 		return geom.Tree{}, false
 	}
@@ -293,72 +307,95 @@ type EdgeKey struct {
 	Idx int
 }
 
-// Expand3D turns 2-D object topologies into 3-D candidates on the grid,
-// enumerating (H layer, V layer) pairs in increasing via-distance order.
-// Candidates whose segments leave the grid are dropped. Results are sorted
-// by Cost.
+// Expand3D turns 2-D object topologies into at most maxN 3-D candidates on
+// the grid, enumerating (H layer, V layer) pairs in increasing via-distance
+// order. Topologies with a segment off the grid expand to nothing. Results
+// are sorted by Cost.
 //
-// The per-candidate work is layer-independent up to the layer assignment:
-// the 2-D edge footprint, wirelength and bend count of a topology are
-// computed once (into pooled scratch, via the geom arena kernels) and every
-// (H, V) pair then materializes its candidate as two flat edge-run copies —
-// no per-pair tree walks, no per-edge map inserts.
-func Expand3D(gr *grid.Grid, topos []ObjectTopology, opt Options) []Candidate {
+// A candidate's cost needs only its topology's wirelength and bend count
+// and its layer pair, so the work runs in three steps:
+//   - each topology's layer-independent footprint — per-direction sorted
+//     edge runs (2-D dense indices, identical on every layer of the
+//     direction), their word masks, the heavy-edge count, wirelength and
+//     bend count — is computed once into pooled scratch, via the geom arena
+//     kernels;
+//   - every (topology, layer pair) is priced, the prices are stable-sorted
+//     by Cost and trimmed to maxN by trimDiverse;
+//   - only the survivors are assembled, each as flat copies of its
+//     topology's runs and masks onto its two layers. The survivors' Edges,
+//     Masks and Heavy are carved from one allocation each, with full slice
+//     expressions, so no candidate's slice can grow into its neighbour's.
+func Expand3D(gr *grid.Grid, topos []ObjectTopology, opt Options, maxN int) []Candidate {
 	opt = opt.withDefaults()
 	pairs := layerPairs(gr, opt.MaxLayerPairs)
 	sc := expandPool.Get().(*expandScratch)
+	sc.runs, sc.words, sc.prices = sc.runs[:0], sc.words[:0], sc.prices[:0]
+	sc.fps = resize(sc.fps, len(topos))
 	ar := geom.GetArena()
-	var out []Candidate
 	for ti := range topos {
-		ot := &topos[ti]
-		if !sc.precompute2D(gr, ot, ar) {
+		if !sc.footprint(gr, &topos[ti], ar, &sc.fps[ti]) {
 			continue
 		}
+		fp := &sc.fps[ti]
 		for _, pr := range pairs {
-			hl, vl := pr[0], pr[1]
-			layerDist := iabs(hl - vl)
+			layerDist := iabs(pr[0] - pr[1])
 			if layerDist == 0 {
 				layerDist = 1
 			}
-			c := Candidate{
-				Topo:    *ot,
-				TopoIdx: ti,
-				HLayer:  hl,
-				VLayer:  vl,
-				WL:      sc.wl,
-				Vias:    sc.bends * layerDist,
-			}
-			c.Cost = c.WL + opt.ViaWeight*c.Vias
-			sc.assemble(&c)
-			out = append(out, c)
+			vias := fp.bends * layerDist
+			sc.prices = append(sc.prices, price{
+				topo: ti, h: pr[0], v: pr[1],
+				wl: fp.wl, vias: vias, cost: fp.wl + opt.ViaWeight*vias,
+			})
 		}
 	}
 	geom.PutArena(ar)
+	slices.SortStableFunc(sc.prices, cmpCost)
+	out := sc.assemble(topos, sc.trimDiverse(len(topos), maxN))
 	expandPool.Put(sc)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cost < out[j].Cost })
 	return out
 }
 
+// price is one (2-D topology, layer pair) with its candidate's cost, before
+// any edge is assembled.
+type price struct {
+	topo, h, v     int
+	wl, vias, cost int
+	rank           int // trimDiverse's pick order
+}
+
+func cmpCost(a, b price) int { return cmp.Compare(a.cost, b.cost) }
+
+// footprint is the layer-independent footprint of one 2-D topology: its
+// horizontal and vertical edge runs, sc.runs[run[0]:run[1]] and
+// [run[1]:run[2]], and their word masks, split the same way in sc.words
+// (Layer left 0 in both); how many of its edges need two or more tracks;
+// its wirelength and its bend count.
+type footprint struct {
+	run, word        [3]int
+	heavy, wl, bends int
+}
+
 // expandScratch is the reusable state behind Expand3D: dense per-direction
-// 2-D edge counters (zeroed via the touched lists after every topology) and
-// the layer-independent footprint of the topology under expansion.
+// 2-D edge counters (zeroed via the touched lists after every topology),
+// the footprints of the topologies under expansion and their prices.
 type expandScratch struct {
 	hCount, vCount     []int32
 	hTouched, vTouched []int32
-	hUse, vUse         []EdgeUse // Layer left 0; filled per pair by assemble
-	masks              []WordMask
-	heavy              int
-	wl, bends          int
+	runs               []EdgeUse
+	words              []WordMask
+	fps                []footprint
+	prices             []price
+	slot, count        []int
 }
 
 var expandPool = sync.Pool{New: func() any { return new(expandScratch) }}
 
-// precompute2D accumulates the layer-independent footprint of ot: per-
-// direction sorted edge runs (2-D dense indices — identical on every layer
-// of the direction), total wirelength and bend count. It reports false,
-// leaving the scratch clean, when any segment leaves the grid — which
+// footprint computes the layer-independent footprint of ot into fp,
+// appending its runs and masks to the scratch. It reports false, leaving
+// the counters clean, when any segment leaves the grid — which
 // disqualifies the topology for every layer pair.
-func (sc *expandScratch) precompute2D(gr *grid.Grid, ot *ObjectTopology, ar *geom.Arena) bool {
+func (sc *expandScratch) footprint(gr *grid.Grid, ot *ObjectTopology, ar *geom.Arena, fp *footprint) bool {
 	hEdges, vEdges := (gr.W-1)*gr.H, gr.W*(gr.H-1)
 	if len(sc.hCount) < hEdges {
 		sc.hCount = make([]int32, hEdges)
@@ -367,7 +404,7 @@ func (sc *expandScratch) precompute2D(gr *grid.Grid, ot *ObjectTopology, ar *geo
 		sc.vCount = make([]int32, vEdges)
 	}
 	sc.hTouched, sc.vTouched = sc.hTouched[:0], sc.vTouched[:0]
-	sc.wl, sc.bends, sc.heavy = 0, 0, 0
+	*fp = footprint{}
 	ok := true
 	for _, t := range ot.BitTrees {
 		if !ok {
@@ -403,9 +440,9 @@ func (sc *expandScratch) precompute2D(gr *grid.Grid, ot *ObjectTopology, ar *geo
 					sc.vCount[idx]++
 				}
 			}
-			sc.wl += s.Len()
+			fp.wl += s.Len()
 		}
-		sc.bends += ar.Bends(t.Segs)
+		fp.bends += ar.Bends(t.Segs)
 	}
 	if !ok {
 		for _, idx := range sc.hTouched {
@@ -416,65 +453,136 @@ func (sc *expandScratch) precompute2D(gr *grid.Grid, ot *ObjectTopology, ar *geo
 		}
 		return false
 	}
-	slices.Sort(sc.hTouched)
-	slices.Sort(sc.vTouched)
-	sc.hUse, sc.vUse = sc.hUse[:0], sc.vUse[:0]
-	for _, idx := range sc.hTouched {
-		n := sc.hCount[idx]
-		sc.hUse = append(sc.hUse, EdgeUse{Idx: idx, N: n})
-		sc.hCount[idx] = 0
-		if n >= 2 {
-			sc.heavy++
-		}
-	}
-	for _, idx := range sc.vTouched {
-		n := sc.vCount[idx]
-		sc.vUse = append(sc.vUse, EdgeUse{Idx: idx, N: n})
-		sc.vCount[idx] = 0
-		if n >= 2 {
-			sc.heavy++
-		}
-	}
+	fp.run[0], fp.word[0] = len(sc.runs), len(sc.words)
+	sc.appendRun(sc.hTouched, sc.hCount, fp)
+	fp.run[1], fp.word[1] = len(sc.runs), len(sc.words)
+	sc.appendRun(sc.vTouched, sc.vCount, fp)
+	fp.run[2], fp.word[2] = len(sc.runs), len(sc.words)
 	return true
 }
 
-// assemble materializes the precomputed footprint onto the candidate's
-// layer pair: Edges sorted by (Layer, Idx), word masks, heavy list.
-func (sc *expandScratch) assemble(c *Candidate) {
-	hl, vl := int32(c.HLayer), int32(c.VLayer)
-	c.Edges = make([]EdgeUse, 0, len(sc.hUse)+len(sc.vUse))
-	appendRun := func(l int32, use []EdgeUse) {
-		for _, e := range use {
-			c.Edges = append(c.Edges, EdgeUse{Layer: l, Idx: e.Idx, N: e.N})
+// appendRun sorts one direction's touched edges, appends them with their
+// track counts to sc.runs and their word masks to sc.words, counts the
+// heavy ones into fp, and zeroes their counters.
+func (sc *expandScratch) appendRun(touched, count []int32, fp *footprint) {
+	slices.Sort(touched)
+	m0 := len(sc.words)
+	for _, idx := range touched {
+		n := count[idx]
+		count[idx] = 0
+		sc.runs = append(sc.runs, EdgeUse{Idx: idx, N: n})
+		if n >= 2 {
+			fp.heavy++
 		}
-	}
-	if hl < vl {
-		appendRun(hl, sc.hUse)
-		appendRun(vl, sc.vUse)
-	} else {
-		appendRun(vl, sc.vUse)
-		appendRun(hl, sc.hUse)
-	}
-	masks := sc.masks[:0]
-	for _, e := range c.Edges {
-		w := e.Idx >> 6
-		if n := len(masks); n > 0 && masks[n-1].Layer == e.Layer && masks[n-1].Word == w {
-			masks[n-1].Bits |= 1 << (e.Idx & 63)
+		w := idx >> 6
+		if k := len(sc.words) - 1; k >= m0 && sc.words[k].Word == w {
+			sc.words[k].Bits |= 1 << (idx & 63)
 		} else {
-			masks = append(masks, WordMask{Layer: e.Layer, Word: w, Bits: 1 << (e.Idx & 63)})
+			sc.words = append(sc.words, WordMask{Word: w, Bits: 1 << (idx & 63)})
 		}
 	}
-	sc.masks = masks
-	c.Masks = make([]WordMask, len(masks))
-	copy(c.Masks, masks)
-	if sc.heavy > 0 {
-		c.Heavy = make([]EdgeUse, 0, sc.heavy)
-		for _, e := range c.Edges {
-			if e.N >= 2 {
-				c.Heavy = append(c.Heavy, e)
+}
+
+// trimDiverse caps the cost-sorted prices at maxN while keeping topology
+// diversity: candidates are taken round-robin across 2-D topologies, each
+// round visiting the topologies in the order they first appear in the
+// cost-sorted list and taking each one's next-cheapest layer pair, so a
+// cheap topology's layer variants cannot crowd out the detour topologies
+// the solver needs under congestion. The kept prices come back stable-
+// sorted by cost.
+func (sc *expandScratch) trimDiverse(nTopos, maxN int) []price {
+	ps := sc.prices
+	if len(ps) <= maxN {
+		return ps
+	}
+	slot, count := resize(sc.slot, nTopos), resize(sc.count, nTopos)
+	for t := range slot {
+		slot[t], count[t] = -1, 0
+	}
+	next := 0
+	for i := range ps {
+		t := ps[i].topo
+		if slot[t] < 0 {
+			slot[t] = next
+			next++
+		}
+		ps[i].rank = count[t]*nTopos + slot[t] // round, then slot
+		count[t]++
+	}
+	sc.slot, sc.count = slot, count
+	slices.SortFunc(ps, func(a, b price) int { return cmp.Compare(a.rank, b.rank) })
+	ps = ps[:max(maxN, 0)]
+	slices.SortStableFunc(ps, cmpCost)
+	return ps
+}
+
+// assemble materializes the kept candidates from the stored footprints:
+// Edges sorted by (Layer, Idx) — the lower layer's run first — the word
+// masks of those edges in the same order, and the heavy edges among them
+// (nil when there are none).
+func (sc *expandScratch) assemble(topos []ObjectTopology, keep []price) []Candidate {
+	if len(keep) == 0 {
+		return nil
+	}
+	nEdges, nMasks, nHeavy := 0, 0, 0
+	for _, p := range keep {
+		fp := &sc.fps[p.topo]
+		nEdges += fp.run[2] - fp.run[0]
+		nMasks += fp.word[2] - fp.word[0]
+		nHeavy += fp.heavy
+	}
+	edges := make([]EdgeUse, nEdges)
+	masks := make([]WordMask, nMasks)
+	heavy := make([]EdgeUse, nHeavy)
+	out := make([]Candidate, len(keep))
+	for k, p := range keep {
+		fp := &sc.fps[p.topo]
+		c := &out[k]
+		*c = Candidate{
+			Topo: topos[p.topo], TopoIdx: p.topo, HLayer: p.h, VLayer: p.v,
+			WL: p.wl, Vias: p.vias, Cost: p.cost,
+		}
+		n, m := fp.run[2]-fp.run[0], fp.word[2]-fp.word[0]
+		c.Edges, edges = edges[:0:n], edges[n:]
+		c.Masks, masks = masks[:0:m], masks[m:]
+		if p.h < p.v {
+			sc.put(c, p.h, fp, false)
+			sc.put(c, p.v, fp, true)
+		} else {
+			sc.put(c, p.v, fp, true)
+			sc.put(c, p.h, fp, false)
+		}
+		if fp.heavy > 0 {
+			c.Heavy, heavy = heavy[:0:fp.heavy], heavy[fp.heavy:]
+			for _, e := range c.Edges {
+				if e.N >= 2 {
+					c.Heavy = append(c.Heavy, e)
+				}
 			}
 		}
 	}
+	return out
+}
+
+// put appends the footprint's edge run and word masks in one direction to
+// the candidate, on layer l.
+func (sc *expandScratch) put(c *Candidate, l int, fp *footprint, vertical bool) {
+	d := 0
+	if vertical {
+		d = 1
+	}
+	for _, e := range sc.runs[fp.run[d]:fp.run[d+1]] {
+		c.Edges = append(c.Edges, EdgeUse{Layer: int32(l), Idx: e.Idx, N: e.N})
+	}
+	for _, w := range sc.words[fp.word[d]:fp.word[d+1]] {
+		c.Masks = append(c.Masks, WordMask{Layer: int32(l), Word: w.Word, Bits: w.Bits})
+	}
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // layerPairs lists (hLayer, vLayer) combinations sorted by layer distance

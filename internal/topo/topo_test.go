@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -251,7 +252,7 @@ func TestExpand3D(t *testing.T) {
 	g := busGroup(3, 1, 9, 1)
 	obj := ident.Partition(0, &g)[0]
 	ots := ObjectTopologies(&g, &obj, Options{})
-	cands := Expand3D(gr, ots, Options{})
+	cands := Expand3D(gr, ots, Options{}, math.MaxInt)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -293,7 +294,7 @@ func TestExpand3DDropsOutOfBounds(t *testing.T) {
 	g := busGroup(2, 0, 9, 0) // x=9 beyond 4-wide grid
 	obj := ident.Partition(0, &g)[0]
 	ots := ObjectTopologies(&g, &obj, Options{})
-	if cands := Expand3D(gr, ots, Options{}); len(cands) != 0 {
+	if cands := Expand3D(gr, ots, Options{}, math.MaxInt); len(cands) != 0 {
 		t.Errorf("expected no candidates, got %d", len(cands))
 	}
 }
