@@ -28,7 +28,8 @@ import (
 // site honors.
 const (
 	// RouteBuild fires at the start of problem construction
-	// (route.BuildCtx), before the parallel candidate fan-out.
+	// (route.BuildCtx and Problem.RebuildCtx), before the parallel
+	// candidate fan-out.
 	// Honors: panic, delay, error.
 	RouteBuild = "route.build"
 	// PDSolve fires at the start of the primal-dual solve (pd.SolveCtx).

@@ -78,3 +78,30 @@ func TestBendsNonNegativeAndStable(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKeyMatchesString: Key identifies a tree exactly as String does. A
+// reordered or canonicalized copy keeps the key, and two trees share a key
+// only when they share a rendering. The second tree is sometimes a copy
+// of the first with one more segment, which changes the rendering exactly
+// when the segment adds uncovered wire or a new junction.
+func TestKeyMatchesString(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, pts := randomSpanTree(r, 2+r.Intn(4))
+		shuffled := Tree{Segs: append([]Seg(nil), a.Segs...)}
+		r.Shuffle(len(shuffled.Segs), func(i, j int) {
+			shuffled.Segs[i], shuffled.Segs[j] = shuffled.Segs[j], shuffled.Segs[i]
+		})
+		if a.Key() != shuffled.Key() || a.Key() != a.Canon().Key() {
+			return false
+		}
+		b, _ := randomSpanTree(r, 2)
+		if r.Intn(2) == 0 {
+			b = Tree{Segs: append(append([]Seg(nil), a.Segs...), LShape(pts[0], Pt(r.Intn(20), r.Intn(20)))...)}
+		}
+		return (a.Key() == b.Key()) == (a.String() == b.String())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

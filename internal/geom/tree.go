@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 )
@@ -59,6 +60,25 @@ func (t Tree) String() string {
 	}
 	sort.Strings(parts)
 	return "{" + strings.Join(parts, " ") + "}"
+}
+
+// Key packs the tree's canonical segments into a string: two trees have
+// equal keys exactly when their canonical forms, and so their String
+// renderings, are equal. It identifies a tree for deduplication without
+// formatting it.
+func (t Tree) Key() string {
+	a := GetArena()
+	cs := a.Canon(t.Segs)
+	var sb strings.Builder
+	sb.Grow(8 * len(cs))
+	var buf [binary.MaxVarintLen64]byte
+	for _, s := range cs {
+		for _, v := range [4]int{s.A.X, s.A.Y, s.B.X, s.B.Y} {
+			sb.Write(buf[:binary.PutVarint(buf[:], int64(v))])
+		}
+	}
+	PutArena(a)
+	return sb.String()
 }
 
 // Canon returns the canonical form of the tree: collinear overlaps merged,

@@ -84,9 +84,10 @@ const (
 
 // Canonical solve-cache counter names (recorded by internal/solvecache):
 // exact content-hash hits and misses, misses served by incremental
-// re-routing, per-rebuild object invalidation/reuse splits, incremental
-// attempts abandoned for a cold solve, and incremental results the
-// legality audit rejected.
+// re-routing, per-rebuild object splits (cache.objects.invalidated counts
+// the objects of changed groups, the only ones a rebuild regenerates;
+// cache.objects.kept the rest), incremental attempts abandoned for a cold
+// solve, and incremental results the legality audit rejected.
 const (
 	CounterCacheHit         = "cache.hit"
 	CounterCacheMiss        = "cache.miss"

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -128,15 +129,8 @@ func bitCandidates(p *route.Problem, ref bitRef, opt Options) []geom.Tree {
 	g := p.Group(ref.obj)
 	bit := &g.Bits[ref.bit]
 	fb := steiner.Iterated1Steiner(bit.PinLocs(), steiner.Options{BendWeight: opt.BendWeight})
-	key := fb.String()
-	dup := false
-	for _, t := range out {
-		if t.String() == key {
-			dup = true
-			break
-		}
-	}
-	if !dup {
+	key := fb.Key()
+	if !slices.ContainsFunc(out, func(t geom.Tree) bool { return t.Key() == key }) {
 		out = append(out, fb)
 	}
 	return out

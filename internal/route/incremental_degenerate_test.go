@@ -2,10 +2,11 @@ package route
 
 // Degenerate-input coverage for the differ and the incremental rebuild:
 // the shapes ECO churn actually produces — single-bit groups whose pin
-// bounding boxes are lines, single-cell (zero-area) dirty rects, and a
-// blockage added and another removed in the same edit.
+// bounding boxes are lines, a one-cell blockage, and a blockage added and
+// another removed in the same edit.
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/benchgen"
@@ -23,25 +24,10 @@ func moveGroupPins(d *signal.Design, gi, dx, dy int) {
 	}
 }
 
-// cloneDesign deep-copies any design (cloneSmall is pinned to smallDesign).
-func cloneDesign(d *signal.Design) *signal.Design {
-	nd := *d
-	nd.Grid.Blockages = append([]signal.Blockage(nil), d.Grid.Blockages...)
-	nd.Groups = make([]signal.Group, len(d.Groups))
-	for gi := range d.Groups {
-		g := d.Groups[gi]
-		g.Bits = append([]signal.Bit(nil), g.Bits...)
-		for bi := range g.Bits {
-			g.Bits[bi].Pins = append([]signal.Pin(nil), g.Bits[bi].Pins...)
-		}
-		nd.Groups[gi] = g
-	}
-	return &nd
-}
-
 // TestDiffDesignsSingleBitGroups: width-1 groups have degenerate (line or
-// point) pin bounding boxes; the diff must still classify a move and the
-// incremental rebuild must still match the cold build exactly.
+// point) pin bounding boxes; the diff must still classify a move, and the
+// incremental rebuild must regenerate exactly the moved group's object and
+// still match the cold build.
 func TestDiffDesignsSingleBitGroups(t *testing.T) {
 	baseD := benchgen.SingleBitGroups(5, 6, 24, 24)
 	if err := baseD.Validate(); err != nil {
@@ -52,35 +38,27 @@ func TestDiffDesignsSingleBitGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	edited := cloneDesign(baseD)
+	edited := baseD.Clone()
 	moveGroupPins(edited, 2, 1, 1)
 	delta, ok := DiffDesigns(baseD, edited)
 	if !ok {
 		t.Fatal("single-bit designs diffed as incompatible")
 	}
-	if len(delta.ChangedGroups) != 1 || delta.ChangedGroups[0] != 2 {
+	if !reflect.DeepEqual(delta.ChangedGroups, []int{2}) {
 		t.Fatalf("changed groups %v, want [2]", delta.ChangedGroups)
 	}
-	// A single-bit group's pin bbox is a line (or a point): the dirty rects
-	// must still be present and degenerate, not dropped.
-	if len(delta.DirtyRects) != 2 {
-		t.Fatalf("%d dirty rects, want old+new pin bboxes", len(delta.DirtyRects))
-	}
-	for _, r := range delta.DirtyRects {
-		if r.Lo.X != r.Hi.X && r.Lo.Y != r.Hi.Y {
-			t.Fatalf("single-bit dirty rect %v is not a line", r)
-		}
-	}
-	if stats := rebuildEquals(t, base, edited, delta); stats.Regenerated == 0 {
-		t.Fatal("moved single-bit group regenerated nothing")
+	stats := rebuildEquals(t, base, edited, delta)
+	if stats.Regenerated != 1 || stats.KeptObjects != len(base.Objects)-1 {
+		t.Fatalf("kept %d regenerated %d, want only the moved group's object regenerated",
+			stats.KeptObjects, stats.Regenerated)
 	}
 }
 
-// TestDiffDesignsZeroAreaDirtyRect: a one-cell blockage (Lo == Hi) is the
-// smallest possible edit. The inclusive intersects test must still
-// invalidate overlapping footprints, and the rebuild must match cold.
-func TestDiffDesignsZeroAreaDirtyRect(t *testing.T) {
-	baseD := cloneSmall()
+// TestDiffDesignsOneCellBlockage: a one-cell blockage (Lo == Hi) right on
+// the bus trunk is the smallest possible edit. It changes no group, so the
+// rebuild keeps every object and must still match cold.
+func TestDiffDesignsOneCellBlockage(t *testing.T) {
+	baseD := smallDesign()
 	base, err := Build(baseD, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -88,57 +66,35 @@ func TestDiffDesignsZeroAreaDirtyRect(t *testing.T) {
 
 	// One cell right on the bus trunk of smallDesign's group 0.
 	cell := geom.Rect{Lo: geom.Pt(7, 2), Hi: geom.Pt(7, 2)}
-	edited := cloneSmall()
+	edited := smallDesign()
 	edited.Grid.Blockages = append(edited.Grid.Blockages, signal.Blockage{Layer: 0, Rect: cell})
 	delta, ok := DiffDesigns(baseD, edited)
-	if !ok || len(delta.DirtyRects) != 1 || delta.DirtyRects[0] != cell {
-		t.Fatalf("delta %+v ok=%v, want the single cell %v dirty", delta, ok, cell)
+	if !ok || len(delta.ChangedGroups) != 0 {
+		t.Fatalf("delta %+v ok=%v, want no changed group", delta, ok)
 	}
-	if !delta.intersects(geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(23, 23)}) {
-		t.Fatal("zero-area dirty rect intersects nothing")
-	}
-	if delta.intersects(geom.Rect{Lo: geom.Pt(8, 3), Hi: geom.Pt(23, 23)}) {
-		t.Fatal("zero-area dirty rect intersects a disjoint region")
-	}
-	if stats := rebuildEquals(t, base, edited, delta); stats.Regenerated == 0 {
-		t.Fatal("one-cell blockage on the bus trunk invalidated nothing")
-	}
+	requireKeptAll(t, rebuildEquals(t, base, edited, delta), len(base.Objects))
 }
 
 // TestDiffDesignsAddAndRemoveBlockage: one edit step that removes a
-// blockage and adds a different one — both rects must be dirty (capacity
-// was freed under the removed one and taken under the added one), and the
-// incremental rebuild must match cold.
+// blockage and adds a different one frees capacity under the first and
+// takes it under the second. Neither changes a group, so the rebuild keeps
+// every object and must match cold.
 func TestDiffDesignsAddAndRemoveBlockage(t *testing.T) {
 	removed := signal.Blockage{Layer: 0, Rect: geom.Rect{Lo: geom.Pt(2, 2), Hi: geom.Pt(3, 3)}}
 	added := signal.Blockage{Layer: 1, Rect: geom.Rect{Lo: geom.Pt(15, 15), Hi: geom.Pt(17, 16)}}
 
-	baseD := cloneSmall()
+	baseD := smallDesign()
 	baseD.Grid.Blockages = append(baseD.Grid.Blockages, removed)
 	base, err := Build(baseD, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	edited := cloneDesign(baseD)
-	edited.Grid.Blockages = edited.Grid.Blockages[:len(edited.Grid.Blockages)-1]
-	edited.Grid.Blockages = append(edited.Grid.Blockages, added)
+	edited := baseD.Clone()
+	edited.Grid.Blockages[len(edited.Grid.Blockages)-1] = added
 	delta, ok := DiffDesigns(baseD, edited)
-	if !ok {
-		t.Fatal("diff not ok")
+	if !ok || len(delta.ChangedGroups) != 0 {
+		t.Fatalf("delta %+v ok=%v, want no changed group", delta, ok)
 	}
-	if len(delta.ChangedGroups) != 0 {
-		t.Fatalf("changed groups %v, want none", delta.ChangedGroups)
-	}
-	if len(delta.DirtyRects) != 2 {
-		t.Fatalf("%d dirty rects %v, want removed+added", len(delta.DirtyRects), delta.DirtyRects)
-	}
-	seen := map[geom.Rect]bool{}
-	for _, r := range delta.DirtyRects {
-		seen[r] = true
-	}
-	if !seen[removed.Rect] || !seen[added.Rect] {
-		t.Fatalf("dirty rects %v, want both %v and %v", delta.DirtyRects, removed.Rect, added.Rect)
-	}
-	rebuildEquals(t, base, edited, delta)
+	requireKeptAll(t, rebuildEquals(t, base, edited, delta), len(base.Objects))
 }

@@ -132,41 +132,62 @@ func Build(d *signal.Design, opt Options) (*Problem, error) {
 // a parallel pair-cost kernel fill. Cancellation stops the fan-out between
 // objects and returns ctx's error.
 func BuildCtx(ctx context.Context, d *signal.Design, opt Options) (*Problem, error) {
+	p, _, err := build(ctx, d, opt.withDefaults(), nil, nil)
+	return p, err
+}
+
+// build is BuildCtx and RebuildCtx. Without a base problem it partitions
+// every group; with one, each group whose changed entry is false keeps the
+// base's objects and candidate slices, and only the other groups are
+// partitioned. The partitioned objects go through the candidate fan-out;
+// the bit index and the pair-cost kernel cover the whole problem. It
+// returns how many objects it generated candidates for. opt must already
+// carry defaults.
+func build(ctx context.Context, d *signal.Design, opt Options, base *Problem, changed []bool) (*Problem, int, error) {
 	if err := d.Validate(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := faultinject.Fire(ctx, faultinject.RouteBuild); err != nil {
-		return nil, fmt.Errorf("route: %w", err)
+		return nil, 0, fmt.Errorf("route: %w", err)
 	}
-	opt = opt.withDefaults()
 	p := &Problem{
 		Design:    d,
 		Grid:      NewGrid(d),
 		Opt:       opt,
 		GroupObjs: make([][]int, len(d.Groups)),
 	}
+	var regen []int // objects that need candidates
 	for gi := range d.Groups {
+		if base != nil && !changed[gi] {
+			for _, oi := range base.GroupObjs[gi] {
+				p.GroupObjs[gi] = append(p.GroupObjs[gi], len(p.Objects))
+				p.Objects = append(p.Objects, base.Objects[oi])
+				p.Cands = append(p.Cands, base.Cands[oi])
+			}
+			continue
+		}
 		for _, o := range ident.Partition(gi, &d.Groups[gi]) {
-			idx := len(p.Objects)
+			regen = append(regen, len(p.Objects))
+			p.GroupObjs[gi] = append(p.GroupObjs[gi], len(p.Objects))
 			p.Objects = append(p.Objects, o)
-			p.GroupObjs[gi] = append(p.GroupObjs[gi], idx)
+			p.Cands = append(p.Cands, nil)
 		}
 	}
 	workers := opt.WorkerCount()
-	p.Cands = make([][]topo.Candidate, len(p.Objects))
 	rec := obs.FromContext(ctx)
 	var arenaGets0, arenaFresh0 int64
 	if rec != nil {
 		arenaGets0, arenaFresh0 = geom.ArenaCounters()
 	}
 	err := obs.Do(ctx, obs.StageBuild, workers, func(ctx context.Context) error {
-		return parallelFor(ctx, workers, len(p.Objects), func(i int) {
-			obj := &p.Objects[i]
-			p.Cands[i] = genCandidates(p.Grid, &d.Groups[obj.GroupIdx], obj, opt)
+		return parallelFor(ctx, workers, len(regen), func(i int) {
+			obj := &p.Objects[regen[i]]
+			topos := topo.ObjectTopologies(&d.Groups[obj.GroupIdx], obj, opt.Topo)
+			p.Cands[regen[i]] = topo.Expand3D(p.Grid, topos, opt.Topo, opt.MaxCandidates)
 		})
 	})
 	if err != nil {
-		return nil, fmt.Errorf("route: %w", err)
+		return nil, 0, fmt.Errorf("route: %w", err)
 	}
 	if rec != nil {
 		total := 0
@@ -187,9 +208,9 @@ func BuildCtx(ctx context.Context, d *signal.Design, opt Options) (*Problem, err
 	if err := obs.Do(ctx, obs.StageKernel, workers, func(ctx context.Context) error {
 		return p.buildKernel(ctx, workers)
 	}); err != nil {
-		return nil, fmt.Errorf("route: %w", err)
+		return nil, 0, fmt.Errorf("route: %w", err)
 	}
-	return p, nil
+	return p, len(regen), nil
 }
 
 // indexBits builds the (group, bit) -> object lookup behind BitTree.
@@ -204,13 +225,6 @@ func (p *Problem) indexBits() {
 			}
 		}
 	}
-}
-
-// genCandidates generates the candidate list for one object: 2-D topology
-// generation, then 3-D layer expansion with the diversity-preserving trim.
-// BuildCtx and RebuildCtx both call it. opt must already carry defaults.
-func genCandidates(gr *grid.Grid, g *signal.Group, obj *ident.Object, opt Options) []topo.Candidate {
-	return topo.Expand3D(gr, topo.ObjectTopologies(g, obj, opt.Topo), opt.Topo, opt.MaxCandidates)
 }
 
 // Group returns the signal group owning object i.

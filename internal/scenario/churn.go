@@ -3,11 +3,11 @@ package scenario
 // ECO churn: the scenario engine's model of late-stage design edits. A
 // churn stream starts from a base design and applies one small edit per
 // step — a group nudged to a new spot, a blockage dropped in, a blockage
-// lifted — exactly the edits route.DiffDesigns classifies into dirty
-// rects and changed groups. Every mutation preserves the grid shape and
-// the group count, so consecutive designs are always delta-compatible
-// and the incremental re-route path (not the cold path) is what gets
-// exercised.
+// lifted. route.DiffDesigns lists a moved group as changed; a blockage
+// edit changes only capacities, so it changes no group and the rebuild
+// keeps every object. Every mutation preserves the grid shape and the
+// group count, so consecutive designs are always delta-compatible and the
+// incremental re-route path (not the cold path) is what gets exercised.
 
 import (
 	"fmt"
@@ -17,24 +17,6 @@ import (
 	"repro/internal/signal"
 )
 
-// CloneDesign deep-copies a design so a mutation never aliases the
-// original's pin or blockage slices.
-func CloneDesign(d *signal.Design) *signal.Design {
-	nd := &signal.Design{Name: d.Name, Grid: d.Grid}
-	nd.Grid.Blockages = append([]signal.Blockage(nil), d.Grid.Blockages...)
-	nd.Groups = make([]signal.Group, len(d.Groups))
-	for i, g := range d.Groups {
-		ng := signal.Group{Name: g.Name, Bits: make([]signal.Bit, len(g.Bits))}
-		for j, b := range g.Bits {
-			nb := b
-			nb.Pins = append([]signal.Pin(nil), b.Pins...)
-			ng.Bits[j] = nb
-		}
-		nd.Groups[i] = ng
-	}
-	return nd
-}
-
 // Mutate returns a copy of d with one random ECO edit applied and a short
 // label naming the edit ("mv3", "addblk", "rmblk"). The copy is always
 // delta-compatible with d (same grid shape, same group count) and always
@@ -42,7 +24,7 @@ func CloneDesign(d *signal.Design) *signal.Design {
 // same in-bounds offset, which preserves relative pin geometry, so no
 // duplicate-pin or out-of-bounds violations can appear.
 func Mutate(r *rand.Rand, d *signal.Design) (*signal.Design, string) {
-	nd := CloneDesign(d)
+	nd := d.Clone()
 	switch r.Intn(3) {
 	case 0:
 		if label, ok := moveGroup(r, nd); ok {
@@ -103,8 +85,8 @@ func moveGroup(r *rand.Rand, d *signal.Design) (string, bool) {
 }
 
 // addBlockage drops a random rectangular blockage on a random layer.
-// Rects can be as small as a single cell (a zero-area dirty rect for the
-// differ) and are clipped to the grid by construction.
+// Rects can be as small as a single cell and are clipped to the grid by
+// construction.
 func addBlockage(r *rand.Rand, d *signal.Design) string {
 	w := 1 + r.Intn(max(1, d.Grid.W/6))
 	h := 1 + r.Intn(max(1, d.Grid.H/6))

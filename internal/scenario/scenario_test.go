@@ -2,12 +2,16 @@ package scenario
 
 import (
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faultinject"
-	"repro/internal/geom"
 	"repro/internal/route"
+	"repro/internal/solvecache"
 )
 
 // TestGenerateDeterministic: the reproducibility contract — same scenario
@@ -71,31 +75,45 @@ func TestProgramsWellFormed(t *testing.T) {
 }
 
 // TestChurnDeltaCompatible: consecutive churn designs must either be the
-// same design (an exact cache hit) or diff cleanly through
-// route.DiffDesigns with a non-empty delta — that is the whole point of
-// the churn stream: it exercises the incremental path, not the cold path.
+// same design (an exact cache hit) or a mutation that changes the solve
+// cache's content key and diffs cleanly through route.DiffDesigns — that
+// is the whole point of the churn stream: it exercises the incremental
+// path, not the cold path. A move lists exactly the moved group; a
+// blockage edit lists none.
 func TestChurnDeltaCompatible(t *testing.T) {
 	p, err := Generate("churn", Config{Seed: 11, Requests: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mutations := 0
+	moves := 0
 	for i := 1; i < len(p.Requests); i++ {
 		oldD, newD := p.Requests[i-1].Design, p.Requests[i].Design
 		if oldD == newD {
 			continue // verbatim repeat
 		}
-		mutations++
+		if solvecache.KeyFor(oldD, core.Options{}) == solvecache.KeyFor(newD, core.Options{}) {
+			t.Fatalf("churn step %d (%s): mutation kept the cache key", i, newD.Name)
+		}
 		delta, ok := route.DiffDesigns(oldD, newD)
 		if !ok {
 			t.Fatalf("churn step %d: designs not delta-compatible", i)
 		}
-		if len(delta.DirtyRects) == 0 && len(delta.ChangedGroups) == 0 {
-			t.Fatalf("churn step %d: mutation produced an empty delta", i)
+		var want []int
+		edit := newD.Name[strings.LastIndex(newD.Name, "-")+1:]
+		if g, found := strings.CutPrefix(edit, "mv"); found {
+			gi, err := strconv.Atoi(g)
+			if err != nil {
+				t.Fatalf("churn step %d: bad move label %q", i, edit)
+			}
+			want = []int{gi}
+			moves++
+		}
+		if !slices.Equal(delta.ChangedGroups, want) {
+			t.Fatalf("churn step %d (%s): changed groups %v, want %v", i, edit, delta.ChangedGroups, want)
 		}
 	}
-	if mutations == 0 {
-		t.Fatal("churn scenario produced no mutations")
+	if moves == 0 {
+		t.Fatal("churn scenario moved no group")
 	}
 }
 
@@ -121,24 +139,6 @@ func TestMutateStaysValid(t *testing.T) {
 			t.Fatalf("step %d (%s): grid shape changed", step, label)
 		}
 		d = next
-	}
-}
-
-// TestCloneDesignAliasing: mutating a clone must never write through to
-// the original.
-func TestCloneDesignAliasing(t *testing.T) {
-	p, _ := Generate("churn", Config{Seed: 5, Requests: 1})
-	d := p.Requests[0].Design
-	before := d.Groups[0].Bits[0].Pins[0].Loc
-	nBlk := len(d.Grid.Blockages)
-	c := CloneDesign(d)
-	c.Groups[0].Bits[0].Pins[0].Loc = c.Groups[0].Bits[0].Pins[0].Loc.Add(geom.Pt(1, 1))
-	c.Grid.Blockages = append(c.Grid.Blockages, d.Grid.Blockages...)
-	if d.Groups[0].Bits[0].Pins[0].Loc != before {
-		t.Fatal("clone aliases pin storage")
-	}
-	if len(d.Grid.Blockages) != nBlk {
-		t.Fatal("clone aliases blockage storage")
 	}
 }
 

@@ -7,6 +7,7 @@ package signal
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -196,6 +197,23 @@ func (d *Design) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Clone returns a deep copy of the design: the copy shares no blockage,
+// group, bit or pin storage with d, so either side can be edited without
+// the other seeing it.
+func (d *Design) Clone() *Design {
+	nd := *d
+	nd.Grid.Blockages = slices.Clone(d.Grid.Blockages)
+	nd.Groups = slices.Clone(d.Groups)
+	for gi := range nd.Groups {
+		g := &nd.Groups[gi]
+		g.Bits = slices.Clone(g.Bits)
+		for bi := range g.Bits {
+			g.Bits[bi].Pins = slices.Clone(g.Bits[bi].Pins)
+		}
+	}
+	return &nd
 }
 
 // NumNets returns the total number of bits (nets) across all groups — the

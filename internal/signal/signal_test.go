@@ -3,6 +3,7 @@ package signal
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -111,6 +112,24 @@ func TestBitHelpers(t *testing.T) {
 	locs := b.PinLocs()
 	if len(locs) != 3 || locs[1] != geom.Pt(2, 8) {
 		t.Errorf("PinLocs = %v", locs)
+	}
+}
+
+// TestCloneDesignAliasing: the clone equals the original, and editing it
+// must never write through to the original.
+func TestCloneDesignAliasing(t *testing.T) {
+	d := sampleDesign()
+	c := d.Clone()
+	if !reflect.DeepEqual(c, d) {
+		t.Fatalf("clone differs from the original:\n got %+v\nwant %+v", c, d)
+	}
+	c.Groups[0].Bits[0].Pins[0].Loc = c.Groups[0].Bits[0].Pins[0].Loc.Add(geom.Pt(1, 1))
+	c.Groups[1].Bits[0].Driver = 0
+	c.Groups[1].Name = "renamed"
+	c.Grid.Blockages[0].Cap = 3
+	c.Grid.Blockages = append(c.Grid.Blockages, d.Grid.Blockages...)
+	if !reflect.DeepEqual(d, sampleDesign()) {
+		t.Fatal("editing the clone changed the original")
 	}
 }
 

@@ -83,7 +83,7 @@ type Stats struct {
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions int64 `json:"evictions"`
 	// InvalidatedObjects sums the objects regenerated across all
-	// incremental rebuilds (the invalidation-geometry cost meter).
+	// incremental rebuilds: the objects of the groups whose pins moved.
 	InvalidatedObjects int64 `json:"invalidated_objects"`
 }
 

@@ -9,73 +9,12 @@ import (
 	"repro/internal/audit"
 	"repro/internal/benchgen"
 	"repro/internal/core"
+	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/route"
+	"repro/internal/scenario"
 	"repro/internal/signal"
 )
-
-// mutate applies one random ECO-style edit — add a blockage, remove a
-// blockage, or translate a whole group — keeping the design valid.
-func mutate(r *rand.Rand, d *signal.Design) string {
-	for {
-		switch r.Intn(3) {
-		case 0: // add a small full blockage
-			w, h := 1+r.Intn(3), 1+r.Intn(3)
-			x := r.Intn(d.Grid.W - w)
-			y := r.Intn(d.Grid.H - h)
-			d.Grid.Blockages = append(d.Grid.Blockages, signal.Blockage{
-				Layer: r.Intn(d.Grid.NumLayers),
-				Rect:  geom.Rect{Lo: geom.Pt(x, y), Hi: geom.Pt(x+w, y+h)},
-			})
-			return "add-blockage"
-		case 1: // remove a blockage
-			if len(d.Grid.Blockages) == 0 {
-				continue
-			}
-			i := r.Intn(len(d.Grid.Blockages))
-			d.Grid.Blockages = append(d.Grid.Blockages[:i], d.Grid.Blockages[i+1:]...)
-			return "remove-blockage"
-		case 2: // translate one group, clamped in-bounds
-			gi := r.Intn(len(d.Groups))
-			g := &d.Groups[gi]
-			lo := geom.Pt(d.Grid.W, d.Grid.H)
-			hi := geom.Pt(0, 0)
-			for bi := range g.Bits {
-				for _, p := range g.Bits[bi].Pins {
-					lo.X, lo.Y = min(lo.X, p.Loc.X), min(lo.Y, p.Loc.Y)
-					hi.X, hi.Y = max(hi.X, p.Loc.X), max(hi.Y, p.Loc.Y)
-				}
-			}
-			dx := clampShift(r.Intn(5)-2, lo.X, hi.X, d.Grid.W)
-			dy := clampShift(r.Intn(5)-2, lo.Y, hi.Y, d.Grid.H)
-			if dx == 0 && dy == 0 {
-				dy = clampShift(1, lo.Y, hi.Y, d.Grid.H)
-				if dy == 0 {
-					continue
-				}
-			}
-			for bi := range g.Bits {
-				for pi := range g.Bits[bi].Pins {
-					g.Bits[bi].Pins[pi].Loc.X += dx
-					g.Bits[bi].Pins[pi].Loc.Y += dy
-				}
-			}
-			return "move-group"
-		}
-	}
-}
-
-// clampShift shrinks a shift so [lo,hi] stays inside [0,dim).
-func clampShift(s, lo, hi, dim int) int {
-	for s != 0 && (lo+s < 0 || hi+s >= dim) {
-		if s > 0 {
-			s--
-		} else {
-			s++
-		}
-	}
-	return s
-}
 
 // TestECOSweep drives a randomized edit sequence through the cached solver
 // and checks, at every step, that the served result is (a) legal under the
@@ -96,8 +35,7 @@ func TestECOSweep(t *testing.T) {
 	for step := 0; step < 9; step++ {
 		op := "initial"
 		if step > 0 {
-			d = cloneDesign(d)
-			op = mutate(r, d)
+			d, op = scenario.Mutate(r, d)
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatalf("step %d (%s): mutated design invalid: %v", step, op, err)
@@ -134,6 +72,49 @@ func TestECOSweep(t *testing.T) {
 	t.Logf("sweep: %d incrementals, stats %+v", incrementals, st)
 }
 
+// TestRebuildFaultFallsBackCold: the incremental rebuild goes through the
+// same build as a cold solve, so a route.build fault armed for one firing
+// fails the rebuild; the solve must fall back to an authoritative cold
+// solve whose result is audit-legal and equal to a plain cold solve.
+func TestRebuildFaultFallsBackCold(t *testing.T) {
+	opt := core.Options{}
+	sv := NewSolver(NewCache(4))
+	d := benchgen.Scale(benchgen.Industry(1), 0.04).Generate()
+	if _, outcome, err := sv.Solve(context.Background(), d, opt); err != nil || outcome != OutcomeCold {
+		t.Fatalf("base solve: outcome %q err %v, want cold", outcome, err)
+	}
+
+	edited := d.Clone()
+	edited.Grid.Blockages = append(edited.Grid.Blockages, signal.Blockage{
+		Layer: 0, Rect: geom.Rect{Lo: geom.Pt(0, 0), Hi: geom.Pt(3, 3)}})
+	plan, err := faultinject.ParseSpec(faultinject.RouteBuild + "=error#1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, outcome, err := sv.Solve(faultinject.With(context.Background(), plan), edited, opt)
+	if err != nil {
+		t.Fatalf("faulted solve: %v", err)
+	}
+	if outcome != OutcomeColdFallback {
+		t.Fatalf("outcome %q, want %q", outcome, OutcomeColdFallback)
+	}
+	if n := plan.Fired(faultinject.RouteBuild); n != 1 {
+		t.Fatalf("route.build fired %d times, want 1", n)
+	}
+	if rep := audit.Check(edited, route.NewGrid(edited), res.Routing); !rep.OK() {
+		t.Fatalf("fallback result violates the audit: %v", rep.Err())
+	}
+	cold, err := core.Run(edited, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mGot, mWant := res.Metrics, cold.Metrics
+	mGot.Runtime, mWant.Runtime = 0, 0
+	if !reflect.DeepEqual(mGot, mWant) {
+		t.Fatalf("fallback metrics diverge from a cold solve:\n got %+v\nwant %+v", mGot, mWant)
+	}
+}
+
 // TestSolveExactHit checks that resubmitting an identical design is served
 // from the cache without solving, and that a renamed copy still hits.
 func TestSolveExactHit(t *testing.T) {
@@ -150,7 +131,7 @@ func TestSolveExactHit(t *testing.T) {
 		t.Fatalf("first solve outcome %q, want cold", outcome)
 	}
 
-	renamed := cloneDesign(d)
+	renamed := d.Clone()
 	renamed.Name = "same-geometry-new-name"
 	second, outcome, err := sv.Solve(ctx, renamed, opt)
 	if err != nil {

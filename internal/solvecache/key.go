@@ -141,21 +141,3 @@ func optionsFingerprint(opt core.Options) uint64 {
 	fmt.Fprintf(h, "prw%g|pns%g|pbw%d|pdf%g", p.RegWeight, p.NoShare, p.BendWeight, p.DistFrac)
 	return h.Sum64()
 }
-
-// cloneDesign deep-copies a design so cache entries are decoupled from
-// caller-owned memory: the copy is the diff base for future incremental
-// solves and must stay exactly what was solved.
-func cloneDesign(d *signal.Design) *signal.Design {
-	nd := *d
-	nd.Grid.Blockages = append([]signal.Blockage(nil), d.Grid.Blockages...)
-	nd.Groups = make([]signal.Group, len(d.Groups))
-	for gi := range d.Groups {
-		g := d.Groups[gi]
-		g.Bits = append([]signal.Bit(nil), g.Bits...)
-		for bi := range g.Bits {
-			g.Bits[bi].Pins = append([]signal.Pin(nil), g.Bits[bi].Pins...)
-		}
-		nd.Groups[gi] = g
-	}
-	return &nd
-}

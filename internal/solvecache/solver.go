@@ -55,12 +55,12 @@ func (s *Solver) Cache() *Cache {
 // benchmark label re-pointed at the requesting design's name and the audit
 // report attached or stripped per opt.Audit). Near miss: when a cached
 // entry shares the design's family and DiffDesigns bridges the two, the
-// base problem is patched incrementally — survivors keep their committed
-// candidates — and full deterministic selection re-runs over the freed
-// capacity; the result must pass the independent legality audit before it
-// is returned or cached, otherwise Solve falls back to a cold solve. Only
-// clean, complete results (audit-legal, not timed out, not degraded) are
-// inserted, so a hit can never replay a transient failure.
+// base problem is rebuilt incrementally — groups whose pins did not move
+// keep their candidates — and full deterministic selection re-runs over
+// the new capacities; the result must pass the independent legality audit
+// before it is returned or cached, otherwise Solve falls back to a cold
+// solve. Only clean, complete results (audit-legal, not timed out, not
+// degraded) are inserted, so a hit can never replay a transient failure.
 //
 // Designs passed to Solve must not be mutated afterwards while the
 // returned Result is in use (the cache deep-copies what it stores, so the
@@ -107,15 +107,15 @@ func (s *Solver) Solve(ctx context.Context, d *signal.Design, opt core.Options) 
 	return res, outcome, nil
 }
 
-// incremental patches base's problem with the delta and re-solves. A nil
-// result with a nil error means the attempt was abandoned for a cold solve
-// (auditReject tells the two abandon reasons apart); a context error is
-// returned as-is.
+// incremental rebuilds base's problem for d from the delta and re-solves.
+// A nil result with a nil error means the attempt was abandoned for a cold
+// solve (auditReject tells the two abandon reasons apart); a context error
+// is returned as-is.
 func (s *Solver) incremental(ctx context.Context, base *entry, d *signal.Design, opt core.Options, delta route.Delta, key Key, fam uint64) (res *core.Result, auditReject bool, err error) {
 	rec := obs.FromContext(ctx)
 	// The rebuilt problem references this copy; it becomes the cache
 	// entry's diff base, so it must be decoupled from the caller.
-	dc := cloneDesign(d)
+	dc := d.Clone()
 	np, rstats, err := base.result.Problem.RebuildCtx(ctx, dc, delta)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -171,7 +171,7 @@ func (s *Solver) cacheResult(ctx context.Context, key Key, fam uint64, d *signal
 	if !rep.OK() {
 		return
 	}
-	s.cache.insert(&entry{key: key, family: fam, design: cloneDesign(d), result: res, audit: *rep})
+	s.cache.insert(&entry{key: key, family: fam, design: d.Clone(), result: res, audit: *rep})
 }
 
 // adaptHit shallow-copies the cached result for one request: the benchmark

@@ -202,7 +202,7 @@ func Backbones(pins []geom.Point, k int, opt Options) []geom.Tree {
 		if !t.Connected(pins) {
 			return
 		}
-		key := t.String()
+		key := t.Key()
 		if seen[key] {
 			return
 		}
@@ -223,12 +223,13 @@ func Backbones(pins []geom.Point, k int, opt Options) []geom.Tree {
 	// bending point).
 	type cand struct {
 		p    geom.Point
+		t    geom.Tree
 		cost int
 	}
 	var cands []cand
 	for _, c := range geom.HananCandidates(pins) {
 		t := pruneDangling(MST(append(append([]geom.Point{}, pins...), c), opt), pins)
-		cands = append(cands, cand{c, opt.Cost(t)})
+		cands = append(cands, cand{c, t, opt.Cost(t)})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].cost != cands[j].cost {
@@ -240,8 +241,7 @@ func Backbones(pins []geom.Point, k int, opt Options) []geom.Tree {
 		if len(out) >= k+8 {
 			break
 		}
-		t := pruneDangling(MST(append(append([]geom.Point{}, pins...), c.p), opt), pins)
-		add(t)
+		add(c.t)
 	}
 
 	sort.SliceStable(out, func(i, j int) bool { return opt.Cost(out[i]) < opt.Cost(out[j]) })
