@@ -181,6 +181,30 @@ func BenchmarkFig14Clustering(b *testing.B) {
 	}
 }
 
+// BenchmarkClusterAndRoute measures bottom-up clustering (Algorithm 3)
+// alone on Industry6 at scale 0.2, where the primal-dual selection leaves
+// 92 bits to it. Each op clusters a fresh copy of the primal-dual routing
+// and usage, built outside the timer.
+func BenchmarkClusterAndRoute(b *testing.B) {
+	d := benchgen.Scale(benchgen.Industry(6), 0.2).Generate()
+	p, err := route.Build(d, route.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := pd.Solve(p).Assignment
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st postopt.ClusterStats
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r := p.ExtractRouting(a)
+		u := r.UsageOf(p.Grid)
+		b.StartTimer()
+		st = postopt.ClusterAndRoute(p, r, u, postopt.Options{})
+	}
+	b.ReportMetric(float64(st.BitsRouted), "bits")
+}
+
 // BenchmarkFig15Refinement measures the refinement ablation: violations
 // and wirelength with and without the detour stage.
 func BenchmarkFig15Refinement(b *testing.B) {

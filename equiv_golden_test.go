@@ -12,7 +12,10 @@ package streak
 // simplex kernel change that alters a single pivot decision fails too. The
 // "/post" keys pin what clustering and refinement make of the primal-dual
 // selection: the post-optimized geometry, Vio(dst) before and after, the
-// refinement stats, WL and Avg(Reg).
+// refinement stats, WL and Avg(Reg). At equivScale primal-dual routes every
+// bit, so those keys never cluster; the "/cluster" keys pin clustering
+// (Algorithm 3) itself on designs that leave bits to it: its stats and the
+// complete routing it leaves, pin maps included.
 //
 // Regenerate (prints the golden map literal; only do this to extend
 // coverage or to re-capture a search whose path a solver change moves on
@@ -30,6 +33,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -42,7 +46,10 @@ import (
 	"repro/internal/hier"
 	"repro/internal/obs"
 	"repro/internal/pd"
+	"repro/internal/postopt"
 	"repro/internal/route"
+	"repro/internal/scenario"
+	"repro/internal/signal"
 	"repro/internal/topo"
 )
 
@@ -58,6 +65,8 @@ const equivScale = benchScale
 // re-captured when the simplex stopped starting negative-cost columns at
 // their upper bounds: the searches changed path, every exact objective
 // stayed equal and every changed hier objective fell to the exact optimum.
+// The "/cluster" keys were captured while clustering still re-derived both
+// trees of every pair it priced.
 var goldenFingerprints = map[string]string{
 	"Industry1/exact":        "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
 	"Industry1/exact-search": "nodes=1 lps=1 iters=34",
@@ -66,6 +75,7 @@ var goldenFingerprints = map[string]string{
 	"Industry1/pd":           "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
 	"Industry1/post":         "geo=5a58fea675bfd2cd vio=0 refine=0/0/0/0/0 viodst=0 wl=40d0874000000000 reg=3ff0000000000000",
 	"Industry1/problem":      "objs=17 cands=204 hash=c861cc3cc586596c",
+	"Industry2+eco/cluster":  "stats=27/0/2 geo=f1ac2d4d2723faa9",
 	"Industry3/exact":        "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
 	"Industry3/exact-search": "nodes=14 lps=62 iters=2541",
 	"Industry3/hier":         "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
@@ -76,6 +86,8 @@ var goldenFingerprints = map[string]string{
 	"Industry5/pd":           "obj=40d22a36db6db6db geo=730b109c398530fa audit=ok",
 	"Industry5/post":         "geo=730b109c398530fa vio=0 refine=0/0/0/0/0 viodst=0 wl=40f5577000000000 reg=3fec226d6d8b43fb",
 	"Industry5/problem":      "objs=61 cands=732 hash=977c4f614345df7e",
+	"Industry5@0.2/cluster":  "stats=120/0/6 geo=7b3c170c64018077",
+	"Industry6@0.2/cluster":  "stats=92/0/6 geo=8be8410efe2b2267",
 	"Industry7/hier":         "obj=40b6aa0000000000 geo=871cb205034c89f9 audit=ok",
 	"Industry7/hier-search":  "nodes=17 lps=82 iters=905",
 	"Industry7/pd":           "obj=40b6aa0000000000 geo=cf161fbcdf049ddf audit=ok",
@@ -169,6 +181,39 @@ func fpPost(res *core.Result) string {
 		res.Metrics.VioDst, math.Float64bits(res.Metrics.WL), math.Float64bits(res.Metrics.AvgReg))
 }
 
+// fpCluster digests one clustering pass on top of a primal-dual routing:
+// its stats, every bit's routed flag, layers and canonical tree, and every
+// solution object's representative tree, bit, members, layers and pin maps.
+func fpCluster(st postopt.ClusterStats, r *route.Routing) string {
+	h := fnv.New64a()
+	hashRouting(h, r)
+	for gi := range r.Objects {
+		for _, so := range r.Objects[gi] {
+			for _, s := range so.RepTree.Canon().Segs {
+				fmt.Fprintf(h, "%d.%d.%d.%d;", s.A.X, s.A.Y, s.B.X, s.B.Y)
+			}
+			fmt.Fprintf(h, "m%v;", so.PinMap)
+		}
+	}
+	return fmt.Sprintf("stats=%d/%d/%d geo=%016x", st.BitsRouted, st.BitsLeft, st.Clusters, h.Sum64())
+}
+
+// clusterDesigns lists designs whose primal-dual routing leaves bits to
+// clustering: two presets at scale 0.2, and one seeded ECO edit of
+// Industry2 at equivScale.
+var clusterDesigns = []struct {
+	name   string
+	design func() *signal.Design
+}{
+	{"Industry5@0.2", func() *signal.Design { return benchgen.Scale(benchgen.Industry(5), 0.2).Generate() }},
+	{"Industry6@0.2", func() *signal.Design { return benchgen.Scale(benchgen.Industry(6), 0.2).Generate() }},
+	{"Industry2+eco", func() *signal.Design {
+		d := benchgen.Scale(benchgen.Industry(2), equivScale).Generate()
+		nd, _ := scenario.Mutate(rand.New(rand.NewSource(25)), d)
+		return nd
+	}},
+}
+
 // fpSearch digests the branch-and-bound search shape a solve left on its
 // recorder: nodes explored, LP relaxations solved and simplex iterations.
 func fpSearch(rec *obs.Recorder) string {
@@ -238,6 +283,18 @@ func computeFingerprints(t *testing.T, workers int) map[string]string {
 			t.Fatalf("%s: post: %v", name, err)
 		}
 		got[name+"/post"] = fpPost(post)
+	}
+	for _, cd := range clusterDesigns {
+		p, err := route.Build(cd.design(), route.Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("%s: build: %v", cd.name, err)
+		}
+		r := p.ExtractRouting(pd.Solve(p).Assignment)
+		st, err := postopt.ClusterAndRouteCtx(context.Background(), p, r, r.UsageOf(p.Grid), postopt.Options{})
+		if err != nil {
+			t.Fatalf("%s: cluster: %v", cd.name, err)
+		}
+		got[cd.name+"/cluster"] = fpCluster(st, r)
 	}
 	return got
 }

@@ -100,13 +100,18 @@ func GroupReg(g *signal.Group, objs []route.SolutionObject) (float64, bool) {
 	if len(objs) < 2 {
 		return 0, false
 	}
+	regs := make([]topo.Regularity, len(objs))
+	for i := range objs {
+		regs[i] = topo.NewRegularity(objs[i].RepTree, &g.Bits[objs[i].RepBit])
+	}
 	sum := 0.0
 	n := 0
-	for i := 0; i < len(objs); i++ {
-		for j := i + 1; j < len(objs); j++ {
-			b1 := &g.Bits[objs[i].RepBit]
-			b2 := &g.Bits[objs[j].RepBit]
-			sum += topo.Ratio(objs[i].RepTree, b1, objs[j].RepTree, b2)
+	var best []int32
+	for i := range regs {
+		for j := i + 1; j < len(regs); j++ {
+			var v float64
+			v, best = regs[i].Ratio(&regs[j], best)
+			sum += v
 			n++
 		}
 	}

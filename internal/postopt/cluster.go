@@ -10,7 +10,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/route"
-	"repro/internal/signal"
 	"repro/internal/steiner"
 	"repro/internal/topo"
 )
@@ -62,12 +61,47 @@ type bitRef struct {
 	obj, member, bit int
 }
 
-// cluster is Algorithm 3's working unit.
+// clusterBit is one unrouted bit of the group being clustered: its address,
+// its candidate trees (line 1 of Algorithm 3), each candidate's wirelength
+// and regularity derived once, and each candidate's TreeFits answer under
+// the current usage (fitsUnknown until asked).
+type clusterBit struct {
+	ref   bitRef
+	trees []geom.Tree
+	wl    []int
+	regs  []topo.Regularity
+	fits  []int8
+}
+
+const (
+	fitsUnknown int8 = iota
+	fitsYes
+	fitsNo
+)
+
+// cluster is Algorithm 3's working unit: the indices of its member bits,
+// the first being its representative, and the candidate index of the
+// representative's tree, -1 while the cluster is unrouted. An unrouted
+// cluster has a single bit: only routed clusters merge.
 type cluster struct {
-	id     int
-	bits   []bitRef
-	routed bool
-	trees  []geom.Tree // per bits entry when routed
+	bits []int
+	tree int
+}
+
+// clusterer holds one group's clustering state. Bits are numbered in
+// collection order, so a cluster's id is its representative's index.
+type clusterer struct {
+	r      *route.Routing
+	u      *grid.Usage
+	gi     int
+	hl, vl int
+	opt    Options
+	bits   []clusterBit
+	// ratios[j*(j-1)/2+i] is the lazily allocated table of the bit pair
+	// i < j: entry p*len(bits[j].trees)+q is the ratio of bit i's
+	// candidate p and bit j's candidate q, or -1 until first asked.
+	ratios  [][]float64
+	scratch []int32
 }
 
 // ClusterAndRoute runs layer prediction plus bottom-up clustering
@@ -140,213 +174,237 @@ func bitCandidates(p *route.Problem, ref bitRef, opt Options) []geom.Tree {
 func clusterGroup(p *route.Problem, r *route.Routing, u *grid.Usage, gi int, opt Options) ClusterStats {
 	g := &p.Design.Groups[gi]
 
-	// Collect unrouted bits with their owning objects.
-	var refs []bitRef
+	// Number the unrouted bits; derive every candidate tree's wirelength
+	// and regularity once (line 1).
+	c := &clusterer{r: r, u: u, gi: gi, opt: opt}
+	var all [][]geom.Tree
 	for _, oi := range p.GroupObjs[gi] {
 		for k, bi := range p.Objects[oi].BitIdx {
-			if !r.Bits[gi][bi].Routed {
-				refs = append(refs, bitRef{oi, k, bi})
+			if r.Bits[gi][bi].Routed {
+				continue
 			}
+			ref := bitRef{oi, k, bi}
+			b := clusterBit{ref: ref, trees: bitCandidates(p, ref, opt)}
+			b.fits = make([]int8, len(b.trees))
+			for _, t := range b.trees {
+				b.wl = append(b.wl, t.WireLength())
+				b.regs = append(b.regs, topo.NewRegularity(t, &g.Bits[bi]))
+			}
+			c.bits = append(c.bits, b)
+			all = append(all, b.trees)
 		}
 	}
-	if len(refs) == 0 {
+	n := len(c.bits)
+	if n == 0 {
 		return ClusterStats{}
 	}
 
-	// Candidate trees per bit and layer prediction (lines 1-2).
-	cands := make(map[bitRef][]geom.Tree, len(refs))
-	var all [][]geom.Tree
-	for _, ref := range refs {
-		c := bitCandidates(p, ref, opt)
-		cands[ref] = c
-		all = append(all, c)
+	// Line 2: layer prediction.
+	c.hl, c.vl = PredictLayers(u, all)
+	if c.hl < 0 || c.vl < 0 {
+		return ClusterStats{BitsLeft: n}
 	}
-	hl, vl := PredictLayers(u, all)
-	if hl < 0 || vl < 0 {
-		return ClusterStats{BitsLeft: len(refs)}
-	}
+	c.ratios = make([][]float64, n*(n-1)/2)
 
 	// Line 4: one cluster per bit.
-	clusters := make([]*cluster, len(refs))
-	for i, ref := range refs {
-		clusters[i] = &cluster{id: i, bits: []bitRef{ref}}
+	clusters := make([]*cluster, n)
+	for i := range clusters {
+		clusters[i] = &cluster{bits: []int{i}, tree: -1}
 	}
 
-	bitOf := func(ref bitRef) *signal.Bit { return &g.Bits[ref.bit] }
-
-	// pairCost evaluates the minimum achievable weighted cost of routing
-	// the pair (wirelength + regularity), along with the best candidate
-	// choice for each unrouted side. Infinite when no legal option exists.
-	pairCost := func(a, b *cluster) (cost float64, ta, tb geom.Tree, ok bool) {
-		regCost := func(t1 geom.Tree, b1 *signal.Bit, t2 geom.Tree, b2 *signal.Bit) float64 {
-			ratio := topo.Ratio(t1, b1, t2, b2)
-			return topo.PairIrregularity(ratio, opt.RegWeight, opt.NoShare, 1, 0)
-		}
-		switch {
-		case a.routed && b.routed:
-			return regCost(a.trees[0], bitOf(a.bits[0]), b.trees[0], bitOf(b.bits[0])), geom.Tree{}, geom.Tree{}, true
-		case a.routed:
-			cost, _, tb, ok := pairCostRoutedFirst(a, b, cands, bitOf, u, hl, vl, regCost)
-			return cost, geom.Tree{}, tb, ok
-		case b.routed:
-			cost, _, ta, ok := pairCostRoutedFirst(b, a, cands, bitOf, u, hl, vl, regCost)
-			return cost, ta, geom.Tree{}, ok
-		}
-		best := math.Inf(1)
-		var bestA, bestB geom.Tree
-		for _, t1 := range cands[a.bits[0]] {
-			if !route.TreeFits(u, t1, hl, vl) {
-				continue
-			}
-			for _, t2 := range cands[b.bits[0]] {
-				if !route.TreeFits(u, t2, hl, vl) {
-					continue
-				}
-				c := float64(t1.WireLength()+t2.WireLength()) +
-					regCost(t1, bitOf(a.bits[0]), t2, bitOf(b.bits[0]))
-				if c < best {
-					best, bestA, bestB = c, t1, t2
-				}
-			}
-		}
-		return best, bestA, bestB, !math.IsInf(best, 1)
-	}
-
-	routeCluster := func(c *cluster, t geom.Tree) {
-		c.routed = true
-		c.trees = []geom.Tree{t}
-		route.AddTreeUsage(u, t, hl, vl, 1)
-		ref := c.bits[0]
-		r.Bits[gi][ref.bit] = route.BitRoute{Routed: true, Tree: t, HLayer: hl, VLayer: vl}
-	}
-
-	// Lines 5-15: visit cluster pairs in minimum-cost order.
-	visited := make(map[[2]int]bool)
+	// Lines 5-15: visit cluster pairs in minimum-cost order. Clusters keep
+	// their relative order, so a pair's ids are always (lesser, greater).
+	visited := make([]bool, n*n)
 	for {
-		type pick struct {
-			ai, bi int
-			cost   float64
-			ta, tb geom.Tree
-			ok     bool
-		}
-		best := pick{cost: math.Inf(1)}
-		found := false
+		bestCost, bi, bj, ta, tb := math.Inf(1), -1, -1, -1, -1
 		for i := 0; i < len(clusters); i++ {
 			for j := i + 1; j < len(clusters); j++ {
-				key := [2]int{clusters[i].id, clusters[j].id}
-				if visited[key] {
+				if visited[clusters[i].bits[0]*n+clusters[j].bits[0]] {
 					continue
 				}
-				found = true
-				c, ta, tb, ok := pairCost(clusters[i], clusters[j])
-				if ok && c < best.cost {
-					best = pick{i, j, c, ta, tb, ok}
+				if cost, pa, pb := c.pairCost(clusters[i], clusters[j]); cost < bestCost {
+					bestCost, bi, bj, ta, tb = cost, i, j, pa, pb
 				}
 			}
 		}
-		if !found {
+		if bi < 0 {
+			// Every pair is visited, or no unvisited pair can route.
 			break
 		}
-		if !best.ok {
-			// Every unvisited pair is infeasible; mark them visited.
-			for i := 0; i < len(clusters); i++ {
-				for j := i + 1; j < len(clusters); j++ {
-					visited[[2]int{clusters[i].id, clusters[j].id}] = true
-				}
-			}
-			break
-		}
-		a, b := clusters[best.ai], clusters[best.bi]
-		if !a.routed && len(best.ta.Segs) > 0 {
-			routeCluster(a, best.ta)
+		a, b := clusters[bi], clusters[bj]
+		if ta >= 0 {
+			c.route(a, ta)
 		}
 		// Routing a may have consumed tracks b's tree needs (overlapping
 		// shifted topologies); re-verify before committing b.
-		if !b.routed && len(best.tb.Segs) > 0 && route.TreeFits(u, best.tb, hl, vl) {
-			routeCluster(b, best.tb)
+		if tb >= 0 && c.fitsNow(b.bits[0], tb) {
+			c.route(b, tb)
 		}
-		visited[[2]int{a.id, b.id}] = true
+		visited[a.bits[0]*n+b.bits[0]] = true
 		// Lines 11-13: merge equal-topology clusters.
-		if a.routed && b.routed {
-			if topo.Ratio(a.trees[0], bitOf(a.bits[0]), b.trees[0], bitOf(b.bits[0])) == 1 {
-				a.bits = append(a.bits, b.bits...)
-				a.trees = append(a.trees, b.trees...)
-				clusters = append(clusters[:best.bi], clusters[best.bi+1:]...)
-			}
+		if a.tree >= 0 && b.tree >= 0 && c.ratio(a.bits[0], a.tree, b.bits[0], b.tree) == 1 {
+			a.bits = append(a.bits, b.bits...)
+			clusters = slices.Delete(clusters, bj, bj+1)
 		}
 	}
 
 	// Any cluster still unrouted (singleton group or all pairs infeasible):
 	// try a direct cheapest-feasible route.
-	for _, c := range clusters {
-		if c.routed {
+	for _, cl := range clusters {
+		if cl.tree >= 0 {
 			continue
 		}
-		var bestT geom.Tree
-		bestWL := math.MaxInt
-		for _, t := range cands[c.bits[0]] {
-			if route.TreeFits(u, t, hl, vl) && t.WireLength() < bestWL {
-				bestWL, bestT = t.WireLength(), t
+		b, best := &c.bits[cl.bits[0]], -1
+		for q := range b.trees {
+			if c.fitsNow(cl.bits[0], q) && (best < 0 || b.wl[q] < b.wl[best]) {
+				best = q
 			}
 		}
-		if bestWL < math.MaxInt {
-			routeCluster(c, bestT)
+		if best >= 0 {
+			c.route(cl, best)
 		}
 	}
 
 	// Record solution objects for routed clusters and compute stats.
 	var stats ClusterStats
-	for _, c := range clusters {
-		if !c.routed {
-			stats.BitsLeft += len(c.bits)
+	for _, cl := range clusters {
+		if cl.tree < 0 {
+			stats.BitsLeft += len(cl.bits)
 			continue
 		}
-		stats.BitsRouted += len(c.bits)
+		stats.BitsRouted += len(cl.bits)
 		stats.Clusters++
+		rep := &c.bits[cl.bits[0]]
 		so := route.SolutionObject{
-			RepTree: c.trees[0],
-			RepBit:  c.bits[0].bit,
-			HLayer:  hl,
-			VLayer:  vl,
+			RepTree: rep.trees[cl.tree],
+			RepBit:  rep.ref.bit,
+			HLayer:  c.hl,
+			VLayer:  c.vl,
 		}
 		// BitIdx stays in cluster-member order: PinMap rows are built in
 		// the same order and the two must correspond index-for-index.
-		for _, ref := range c.bits {
-			so.BitIdx = append(so.BitIdx, ref.bit)
+		refs := make([]bitRef, len(cl.bits))
+		so.BitIdx = make([]int, len(cl.bits))
+		for k, i := range cl.bits {
+			refs[k] = c.bits[i].ref
+			so.BitIdx[k] = refs[k].bit
 		}
-		so.PinMap = clusterPinMap(p, c)
+		so.PinMap = clusterPinMap(p, refs)
 		r.Objects[gi] = append(r.Objects[gi], so)
 	}
 	return stats
 }
 
-// pairCostRoutedFirst handles the routed/unrouted case with the routed
-// cluster first; it returns the cost and the chosen tree for the unrouted
-// side.
-func pairCostRoutedFirst(routed, open *cluster, cands map[bitRef][]geom.Tree,
-	bitOf func(bitRef) *signal.Bit, u *grid.Usage, hl, vl int,
-	regCost func(geom.Tree, *signal.Bit, geom.Tree, *signal.Bit) float64,
-) (float64, geom.Tree, geom.Tree, bool) {
-	best := math.Inf(1)
-	var bestT geom.Tree
-	for _, t := range cands[open.bits[0]] {
-		if !route.TreeFits(u, t, hl, vl) {
-			continue
-		}
-		c := float64(t.WireLength()) + regCost(routed.trees[0], bitOf(routed.bits[0]), t, bitOf(open.bits[0]))
-		if c < best {
-			best, bestT = c, t
+// fitsNow reports whether candidate q of bit i takes one more track on the
+// predicted layers under the current usage, asking TreeFits once per
+// usage state.
+func (c *clusterer) fitsNow(i, q int) bool {
+	f := &c.bits[i].fits[q]
+	if *f == fitsUnknown {
+		*f = fitsNo
+		if route.TreeFits(c.u, c.bits[i].trees[q], c.hl, c.vl) {
+			*f = fitsYes
 		}
 	}
-	return best, geom.Tree{}, bestT, !math.IsInf(best, 1)
+	return *f == fitsYes
+}
+
+// route commits candidate q to the unrouted cluster cl. It is the only
+// usage write of the merge loop, so it clears every cached fit.
+func (c *clusterer) route(cl *cluster, q int) {
+	b := &c.bits[cl.bits[0]]
+	cl.tree = q
+	route.AddTreeUsage(c.u, b.trees[q], c.hl, c.vl, 1)
+	for i := range c.bits {
+		clear(c.bits[i].fits)
+	}
+	c.r.Bits[c.gi][b.ref.bit] = route.BitRoute{Routed: true, Tree: b.trees[q], HLayer: c.hl, VLayer: c.vl}
+}
+
+// ratio returns the regularity ratio of candidate p of bit i and candidate
+// q of bit j. A ratio is a pure function of its two (bit, tree) pairs and
+// symmetric, so each is computed once per pair of bits.
+func (c *clusterer) ratio(i, p, j, q int) float64 {
+	if i > j {
+		i, p, j, q = j, q, i, p
+	}
+	nq := len(c.bits[j].trees)
+	tab := c.ratios[j*(j-1)/2+i]
+	if tab == nil {
+		tab = make([]float64, len(c.bits[i].trees)*nq)
+		for k := range tab {
+			tab[k] = -1
+		}
+		c.ratios[j*(j-1)/2+i] = tab
+	}
+	v := &tab[p*nq+q]
+	if *v < 0 {
+		*v, c.scratch = c.bits[i].regs[p].Ratio(&c.bits[j].regs[q], c.scratch)
+	}
+	return *v
+}
+
+// regCost is the regularity term of the pair cost.
+func (c *clusterer) regCost(i, p, j, q int) float64 {
+	return topo.PairIrregularity(c.ratio(i, p, j, q), c.opt.RegWeight, c.opt.NoShare, 1, 0)
+}
+
+// pairCost evaluates the minimum achievable weighted cost of routing the
+// pair (wirelength + regularity), along with the best candidate choice for
+// each unrouted side (-1 for a routed one). It is +Inf when no legal
+// option exists.
+func (c *clusterer) pairCost(a, b *cluster) (cost float64, ta, tb int) {
+	ia, ib := a.bits[0], b.bits[0]
+	switch {
+	case a.tree >= 0 && b.tree >= 0:
+		return c.regCost(ia, a.tree, ib, b.tree), -1, -1
+	case a.tree >= 0:
+		cost, tb = c.pairCostRouted(ia, a.tree, ib)
+		return cost, -1, tb
+	case b.tree >= 0:
+		cost, ta = c.pairCostRouted(ib, b.tree, ia)
+		return cost, ta, -1
+	}
+	cost, ta, tb = math.Inf(1), -1, -1
+	wa, wb := c.bits[ia].wl, c.bits[ib].wl
+	for p := range wa {
+		if !c.fitsNow(ia, p) {
+			continue
+		}
+		for q := range wb {
+			if !c.fitsNow(ib, q) {
+				continue
+			}
+			if v := float64(wa[p]+wb[q]) + c.regCost(ia, p, ib, q); v < cost {
+				cost, ta, tb = v, p, q
+			}
+		}
+	}
+	return cost, ta, tb
+}
+
+// pairCostRouted prices an unrouted bit beside the routed bit i, whose tree
+// is its candidate p; it returns the cost and the chosen candidate of the
+// open bit, -1 when none fits.
+func (c *clusterer) pairCostRouted(i, p, open int) (float64, int) {
+	best, bestQ := math.Inf(1), -1
+	for q, wl := range c.bits[open].wl {
+		if !c.fitsNow(open, q) {
+			continue
+		}
+		if v := float64(wl) + c.regCost(i, p, open, q); v < best {
+			best, bestQ = v, q
+		}
+	}
+	return best, bestQ
 }
 
 // clusterPinMap derives per-member pin maps for a cluster whose bits all
 // come from one identification object; it returns nil otherwise (bits of
 // different objects have no canonical pin correspondence).
-func clusterPinMap(p *route.Problem, c *cluster) [][]int {
-	obj := c.bits[0].obj
-	for _, ref := range c.bits[1:] {
+func clusterPinMap(p *route.Problem, refs []bitRef) [][]int {
+	obj := refs[0].obj
+	for _, ref := range refs[1:] {
 		if ref.obj != obj {
 			return nil
 		}
@@ -354,14 +412,14 @@ func clusterPinMap(p *route.Problem, c *cluster) [][]int {
 	o := &p.Objects[obj]
 	// Representative of the cluster is its first bit; express every
 	// member's pins relative to it using the object-level maps.
-	repMember := c.bits[0].member
+	repMember := refs[0].member
 	repMap := o.PinMap[repMember] // object-rep pin -> cluster-rep pin
 	inv := make([]int, len(repMap))
 	for objPin, clusterPin := range repMap {
 		inv[clusterPin] = objPin
 	}
-	maps := make([][]int, len(c.bits))
-	for k, ref := range c.bits {
+	maps := make([][]int, len(refs))
+	for k, ref := range refs {
 		m := make([]int, len(repMap))
 		for clusterPin := range m {
 			m[clusterPin] = o.PinMap[ref.member][inv[clusterPin]]

@@ -6,7 +6,9 @@
 package postopt
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -18,15 +20,29 @@ type edge2D struct {
 	x, y       int
 }
 
-// usageEstimate is the expected track demand per 2-D edge of a group
-// (Eq. 7): each candidate topology of each bit contributes its edge usage
-// weighted by 1/|candidates|.
-type usageEstimate map[edge2D]float64
+// compare orders edges vertical first, then by x, then by y.
+func (e edge2D) compare(o edge2D) int {
+	if e.horizontal != o.horizontal {
+		if e.horizontal {
+			return 1
+		}
+		return -1
+	}
+	return cmp.Or(cmp.Compare(e.x, o.x), cmp.Compare(e.y, o.y))
+}
 
-// estimateUsage accumulates the Eq. 7 estimate for a set of per-bit
-// candidate tree lists.
-func estimateUsage(bitCands [][]geom.Tree) usageEstimate {
-	est := make(usageEstimate)
+// edgeDemand is one edge's expected track demand.
+type edgeDemand struct {
+	e      edge2D
+	demand float64
+}
+
+// estimateUsage returns the expected track demand per 2-D edge of a group
+// (Eq. 7): each candidate topology of each bit contributes its edge usage
+// weighted by 1/|candidates|. The edges come sorted, so every sum over
+// them runs in one fixed order.
+func estimateUsage(bitCands [][]geom.Tree) []edgeDemand {
+	est := make(map[edge2D]float64)
 	for _, cands := range bitCands {
 		if len(cands) == 0 {
 			continue
@@ -47,22 +63,27 @@ func estimateUsage(bitCands [][]geom.Tree) usageEstimate {
 			}
 		}
 	}
-	return est
+	out := make([]edgeDemand, 0, len(est))
+	for e, d := range est {
+		out = append(out, edgeDemand{e, d})
+	}
+	slices.SortFunc(out, func(a, b edgeDemand) int { return a.e.compare(b.e) })
+	return out
 }
 
 // conflictValue computes cf(l, g) of Eq. 8: the estimated overflow of
 // routing the group's expected demand on layer l given the residual
 // capacity in u.
-func conflictValue(u *grid.Usage, l int, est usageEstimate) float64 {
+func conflictValue(u *grid.Usage, l int, est []edgeDemand) float64 {
 	g := u.Grid()
 	horizontal := g.Layers[l].Dir == grid.Horizontal
 	cf := 0.0
-	for e, demand := range est {
-		if e.horizontal != horizontal {
+	for _, ed := range est {
+		if ed.e.horizontal != horizontal {
 			continue
 		}
-		avail := float64(u.Avail(l, g.EdgeIndex(l, e.x, e.y)))
-		if over := demand - avail; over > 0 {
+		avail := float64(u.Avail(l, g.EdgeIndex(l, ed.e.x, ed.e.y)))
+		if over := ed.demand - avail; over > 0 {
 			cf += over
 		}
 	}

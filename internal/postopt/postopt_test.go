@@ -1,6 +1,7 @@
 package postopt
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -35,11 +36,42 @@ func TestPredictLayersAveragesCandidates(t *testing.T) {
 		geom.NewTree(geom.S(geom.Pt(0, 9), geom.Pt(8, 9))),
 	}}
 	est := estimateUsage(cands)
-	if got := est[edge2D{true, 2, 3}]; got != 0.5 {
+	i, ok := slices.BinarySearchFunc(est, edge2D{true, 2, 3}, func(ed edgeDemand, e edge2D) int { return ed.e.compare(e) })
+	if !ok {
+		t.Fatal("estimate has no demand on the horizontal edge at (2, 3)")
+	}
+	if got := est[i].demand; got != 0.5 {
 		t.Errorf("estimate = %v, want 0.5", got)
 	}
 	if cf := conflictValue(u, 0, est); cf != 0 {
 		t.Errorf("conflict on empty grid = %v, want 0", cf)
+	}
+}
+
+// TestPredictLayersTieBreaksLow: two H layers (and two V layers) with
+// identical capacity see identical overflow, summed from demands weighted
+// 1/3, 1/4, ... 1/7, so the lowest pair must win on every call. A sum
+// taken in map order differs in its last bits from call to call.
+func TestPredictLayersTieBreaksLow(t *testing.T) {
+	u := grid.NewUsage(grid.New(40, 40, grid.DefaultLayers(4, 1)))
+	var cands [][]geom.Tree
+	for b := 0; b < 12; b++ {
+		var trees []geom.Tree
+		for c := 0; c < 3+b%5; c++ {
+			y, x := 10+c, 30+c
+			trees = append(trees, geom.NewTree(
+				geom.S(geom.Pt(2+b, y), geom.Pt(x, y)),
+				geom.S(geom.Pt(x, y), geom.Pt(x, 25+b%4))))
+		}
+		cands = append(cands, trees)
+	}
+	if cf := conflictValue(u, 0, estimateUsage(cands)); cf == 0 {
+		t.Fatal("demand does not overflow; the test cannot see a tie-break")
+	}
+	for i := 0; i < 200; i++ {
+		if hl, vl := PredictLayers(u, cands); hl != 0 || vl != 1 {
+			t.Fatalf("call %d: PredictLayers = (%d, %d), want (0, 1)", i, hl, vl)
+		}
 	}
 }
 

@@ -25,24 +25,26 @@ type feature struct {
 	sv signal.SV
 }
 
-// regularity is one tree's side of the regularity ratio (Eq. 2), derived
+// Regularity is one tree's side of the regularity ratio (Eq. 2), derived
 // once per tree: its features — the distinct RC endpoints, sorted by point,
 // with SVs weighted against the bit's pins — and its RCs, each packed as
 // the feature indices of its endpoints (lesser first, in the high word),
-// sorted.
-type regularity struct {
+// sorted. Callers that compare one tree many times derive it once with
+// NewRegularity and compare with Ratio.
+type Regularity struct {
 	feats []feature
 	rcs   []uint64
 }
 
-func newRegularity(t geom.Tree, bit *signal.Bit) regularity {
+// NewRegularity derives the regularity of tree t of bit.
+func NewRegularity(t geom.Tree, bit *signal.Bit) Regularity {
 	ar := geom.GetArena()
 	defer geom.PutArena(ar)
 	rcs := ar.SplitAt(ar.Canon(t.Segs), bit.PinLocs()) // RCs(t, pins)
 	if len(rcs) == 0 {
-		return regularity{}
+		return Regularity{}
 	}
-	r := regularity{feats: make([]feature, 0, 2*len(rcs)), rcs: make([]uint64, len(rcs))}
+	r := Regularity{feats: make([]feature, 0, 2*len(rcs)), rcs: make([]uint64, len(rcs))}
 	for _, s := range rcs {
 		r.feats = append(r.feats, feature{p: s.A}, feature{p: s.B})
 	}
@@ -62,7 +64,7 @@ func newRegularity(t geom.Tree, bit *signal.Bit) regularity {
 }
 
 // featureAt returns the index of the feature at p.
-func (r *regularity) featureAt(p geom.Point) int {
+func (r *Regularity) featureAt(p geom.Point) int {
 	i, _ := slices.BinarySearchFunc(r.feats, p, func(f feature, p geom.Point) int { return f.p.Compare(p) })
 	return i
 }
@@ -75,14 +77,15 @@ func rcKey(lo, hi int) uint64 { return uint64(lo)<<32 | uint64(hi) }
 // other topology, divided by the smaller RC count. The result is symmetric
 // and lies in [0, 1]; 1 means the topologies share one structure.
 func Ratio(t1 geom.Tree, bit1 *signal.Bit, t2 geom.Tree, bit2 *signal.Bit) float64 {
-	r1, r2 := newRegularity(t1, bit1), newRegularity(t2, bit2)
-	v, _ := r1.ratio(&r2, nil)
+	r1, r2 := NewRegularity(t1, bit1), NewRegularity(t2, bit2)
+	v, _ := r1.Ratio(&r2, nil)
 	return v
 }
 
-// ratio compares two derived trees as Ratio does. best is scratch; ratio
-// grows it as needed and returns it for reuse.
-func (r *regularity) ratio(o *regularity, best []int32) (float64, []int32) {
+// Ratio compares two derived trees as the package-level Ratio does, with
+// the same result bits in either order. best is scratch; Ratio grows it as
+// needed and returns it for reuse.
+func (r *Regularity) Ratio(o *Regularity, best []int32) (float64, []int32) {
 	n1, n2 := len(r.rcs), len(o.rcs)
 	if n1 == 0 || n2 == 0 {
 		if n1 == 0 && n2 == 0 {
@@ -100,7 +103,7 @@ func (r *regularity) ratio(o *regularity, best []int32) (float64, []int32) {
 // first in point order on a tie) and counts the RCs of r whose mapped
 // endpoints form an RC of o. best is scratch with capacity for r's
 // features.
-func (r *regularity) matchedRCs(o *regularity, best []int32) int {
+func (r *Regularity) matchedRCs(o *Regularity, best []int32) int {
 	best = best[:len(r.feats)]
 	for i, f := range r.feats {
 		b, bestD := 0, f.sv.L1(o.feats[0].sv)
@@ -141,18 +144,18 @@ func RatioTable(b1 []*geom.Tree, bit1 *signal.Bit, b2 []*geom.Tree, bit2 *signal
 				row[j] = math.NaN()
 				continue
 			}
-			row[j], best = r1[i].ratio(&r2[j], best)
+			row[j], best = r1[i].Ratio(&r2[j], best)
 		}
 	}
 	return tab
 }
 
 // derive returns the regularity of every non-nil tree, indexed like ts.
-func derive(ts []*geom.Tree, bit *signal.Bit) []regularity {
-	out := make([]regularity, len(ts))
+func derive(ts []*geom.Tree, bit *signal.Bit) []Regularity {
+	out := make([]Regularity, len(ts))
 	for i, t := range ts {
 		if t != nil {
-			out[i] = newRegularity(*t, bit)
+			out[i] = NewRegularity(*t, bit)
 		}
 	}
 	return out

@@ -211,6 +211,14 @@ func TestRatioSymmetricAndBounded(t *testing.T) {
 		if r12 != r21 {
 			t.Fatalf("trial %d: ratio asymmetric %v vs %v", trial, r12, r21)
 		}
+		// Derived once and compared with shared scratch, either order
+		// gives the same bits.
+		g1, g2 := NewRegularity(t1, &b1), NewRegularity(t2, &b2)
+		v12, best := g1.Ratio(&g2, nil)
+		v21, _ := g2.Ratio(&g1, best)
+		if v12 != r12 || v21 != r12 {
+			t.Fatalf("trial %d: Regularity.Ratio = %v, %v, want %v", trial, v12, v21, r12)
+		}
 		if r12 < 0 || r12 > 1 {
 			t.Fatalf("trial %d: ratio %v out of [0,1]", trial, r12)
 		}
