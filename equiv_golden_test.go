@@ -66,33 +66,36 @@ const equivScale = benchScale
 // their upper bounds: the searches changed path, every exact objective
 // stayed equal and every changed hier objective fell to the exact optimum.
 // The "/cluster" keys were captured while clustering still re-derived both
-// trees of every pair it priced.
+// trees of every pair it priced. The "Industry1@0.2" hier keys were captured
+// while hier still built its own copy of the tile model.
 var goldenFingerprints = map[string]string{
-	"Industry1/exact":        "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
-	"Industry1/exact-search": "nodes=1 lps=1 iters=34",
-	"Industry1/hier":         "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
-	"Industry1/hier-search":  "nodes=4 lps=4 iters=34",
-	"Industry1/pd":           "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
-	"Industry1/post":         "geo=5a58fea675bfd2cd vio=0 refine=0/0/0/0/0 viodst=0 wl=40d0874000000000 reg=3ff0000000000000",
-	"Industry1/problem":      "objs=17 cands=204 hash=c861cc3cc586596c",
-	"Industry2+eco/cluster":  "stats=27/0/2 geo=f1ac2d4d2723faa9",
-	"Industry3/exact":        "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
-	"Industry3/exact-search": "nodes=14 lps=62 iters=2541",
-	"Industry3/hier":         "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
-	"Industry3/hier-search":  "nodes=17 lps=65 iters=1443",
-	"Industry3/pd":           "obj=40ae7e0000000000 geo=838f4f2e86584878 audit=ok",
-	"Industry3/post":         "geo=838f4f2e86584878 vio=0 refine=0/0/0/0/0 viodst=0 wl=40d28f4000000000 reg=3ff0000000000000",
-	"Industry3/problem":      "objs=20 cands=240 hash=eeff75d37d32d31d",
-	"Industry5/pd":           "obj=40d22a36db6db6db geo=730b109c398530fa audit=ok",
-	"Industry5/post":         "geo=730b109c398530fa vio=0 refine=0/0/0/0/0 viodst=0 wl=40f5577000000000 reg=3fec226d6d8b43fb",
-	"Industry5/problem":      "objs=61 cands=732 hash=977c4f614345df7e",
-	"Industry5@0.2/cluster":  "stats=120/0/6 geo=7b3c170c64018077",
-	"Industry6@0.2/cluster":  "stats=92/0/6 geo=8be8410efe2b2267",
-	"Industry7/hier":         "obj=40b6aa0000000000 geo=871cb205034c89f9 audit=ok",
-	"Industry7/hier-search":  "nodes=17 lps=82 iters=905",
-	"Industry7/pd":           "obj=40b6aa0000000000 geo=cf161fbcdf049ddf audit=ok",
-	"Industry7/post":         "geo=076d20edda26fa8b vio=1 refine=1/0/1/0/2 viodst=0 wl=40da25c000000000 reg=3fea740da740da75",
-	"Industry7/problem":      "objs=15 cands=180 hash=440e06d4ce441187",
+	"Industry1/exact":           "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
+	"Industry1/exact-search":    "nodes=1 lps=1 iters=34",
+	"Industry1/hier":            "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
+	"Industry1/hier-search":     "nodes=4 lps=4 iters=34",
+	"Industry1/pd":              "obj=40aafa0000000000 geo=5a58fea675bfd2cd audit=ok",
+	"Industry1/post":            "geo=5a58fea675bfd2cd vio=0 refine=0/0/0/0/0 viodst=0 wl=40d0874000000000 reg=3ff0000000000000",
+	"Industry1/problem":         "objs=17 cands=204 hash=c861cc3cc586596c",
+	"Industry1@0.2/hier":        "obj=40ca248000000000 geo=b2cb0e306ef3634f audit=ok",
+	"Industry1@0.2/hier-search": "nodes=147 lps=459 iters=17792",
+	"Industry2+eco/cluster":     "stats=27/0/2 geo=f1ac2d4d2723faa9",
+	"Industry3/exact":           "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
+	"Industry3/exact-search":    "nodes=14 lps=62 iters=2541",
+	"Industry3/hier":            "obj=40ae7e0000000000 geo=ae79d7033fb42a10 audit=ok",
+	"Industry3/hier-search":     "nodes=17 lps=65 iters=1443",
+	"Industry3/pd":              "obj=40ae7e0000000000 geo=838f4f2e86584878 audit=ok",
+	"Industry3/post":            "geo=838f4f2e86584878 vio=0 refine=0/0/0/0/0 viodst=0 wl=40d28f4000000000 reg=3ff0000000000000",
+	"Industry3/problem":         "objs=20 cands=240 hash=eeff75d37d32d31d",
+	"Industry5/pd":              "obj=40d22a36db6db6db geo=730b109c398530fa audit=ok",
+	"Industry5/post":            "geo=730b109c398530fa vio=0 refine=0/0/0/0/0 viodst=0 wl=40f5577000000000 reg=3fec226d6d8b43fb",
+	"Industry5/problem":         "objs=61 cands=732 hash=977c4f614345df7e",
+	"Industry5@0.2/cluster":     "stats=120/0/6 geo=7b3c170c64018077",
+	"Industry6@0.2/cluster":     "stats=92/0/6 geo=8be8410efe2b2267",
+	"Industry7/hier":            "obj=40b6aa0000000000 geo=871cb205034c89f9 audit=ok",
+	"Industry7/hier-search":     "nodes=17 lps=82 iters=905",
+	"Industry7/pd":              "obj=40b6aa0000000000 geo=cf161fbcdf049ddf audit=ok",
+	"Industry7/post":            "geo=076d20edda26fa8b vio=1 refine=1/0/1/0/2 viodst=0 wl=40da25c000000000 reg=3fea740da740da75",
+	"Industry7/problem":         "objs=15 cands=180 hash=440e06d4ce441187",
 }
 
 // candUsageTriples returns a candidate's per-edge usage as sorted
@@ -222,6 +225,21 @@ func fpSearch(rec *obs.Recorder) string {
 		rec.Counter(obs.CounterILPSimplexIters))
 }
 
+// fpHier runs the hierarchical flow on p and returns its outcome and
+// search fingerprints.
+func fpHier(t *testing.T, name string, p *route.Problem) (outcome, search string) {
+	t.Helper()
+	rec := obs.NewRecorder()
+	hs, err := hier.SolveCtx(obs.WithRecorder(context.Background(), rec), p, hier.Options{Tiles: 2})
+	if err != nil {
+		t.Fatalf("%s: hier: %v", name, err)
+	}
+	if hs.TilesTimedOut > 0 {
+		t.Fatalf("%s: hier tile timed out; preset is not golden-safe", name)
+	}
+	return fpSolve(p, hs.Objective, hs.Assignment), fpSearch(rec)
+}
+
 // equivPresets lists the Industry presets with the flows that are
 // deterministic at equivScale (see the package comment for exclusions).
 var equivPresets = []struct {
@@ -253,16 +271,7 @@ func computeFingerprints(t *testing.T, workers int) map[string]string {
 		got[name+"/pd"] = fpSolve(p, res.Objective, res.Assignment)
 
 		if pr.hier {
-			rec := obs.NewRecorder()
-			hs, err := hier.SolveCtx(obs.WithRecorder(context.Background(), rec), p, hier.Options{Tiles: 2})
-			if err != nil {
-				t.Fatalf("%s: hier: %v", name, err)
-			}
-			if hs.TilesTimedOut > 0 {
-				t.Fatalf("%s: hier tile timed out; preset is not golden-safe", name)
-			}
-			got[name+"/hier"] = fpSolve(p, hs.Objective, hs.Assignment)
-			got[name+"/hier-search"] = fpSearch(rec)
+			got[name+"/hier"], got[name+"/hier-search"] = fpHier(t, name, p)
 		}
 		if pr.exact {
 			rec := obs.NewRecorder()
@@ -284,6 +293,14 @@ func computeFingerprints(t *testing.T, workers int) map[string]string {
 		}
 		got[name+"/post"] = fpPost(post)
 	}
+	// At equivScale the hier searches read the same with the tile model's
+	// lazy capacity rows before or after its product rows; Industry1 at
+	// scale 0.2 pins that order.
+	p, err := route.Build(benchgen.Scale(benchgen.Industry(1), 0.2).Generate(), route.Options{Workers: workers})
+	if err != nil {
+		t.Fatalf("Industry1@0.2: build: %v", err)
+	}
+	got["Industry1@0.2/hier"], got["Industry1@0.2/hier-search"] = fpHier(t, "Industry1@0.2", p)
 	for _, cd := range clusterDesigns {
 		p, err := route.Build(cd.design(), route.Options{Workers: workers})
 		if err != nil {

@@ -44,7 +44,8 @@ type Result struct {
 	TimedOut bool
 	// Runtime is the wall-clock solve time.
 	Runtime time.Duration
-	// Vars and Cons are the linearized model dimensions.
+	// Vars and Cons are the linearized model dimensions: Cons counts the
+	// (3b) rows and every lazy product and capacity row.
 	Vars, Cons int
 }
 
@@ -63,12 +64,25 @@ func Solve(p *route.Problem, opt Options) (Result, error) {
 // construction and the branch-and-bound search and returns ctx.Err(); a
 // context deadline acts exactly like Options.TimeLimit (whichever expires
 // first wins), so callers can drive the exact leg with one deadline
-// mechanism.
+// mechanism. It is SolveObjects over every object at full capacity, inside
+// the exact.solve fault point, the solve.ilp span and the model-size
+// counters.
 func SolveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error) {
 	var res Result
 	err := obs.Do(ctx, obs.StageILP, 0, func(ctx context.Context) error {
+		if err := faultinject.Fire(ctx, faultinject.ExactSolve); err != nil {
+			return fmt.Errorf("exact: %w", err)
+		}
+		all := make([]int, len(p.Objects))
+		for i := range all {
+			all[i] = i
+		}
+		capOf := func(l, idx int) int {
+			x, y := p.Grid.EdgeCell(l, idx)
+			return p.Grid.Cap(l, x, y)
+		}
 		var err error
-		res, err = solveCtx(ctx, p, opt)
+		res, err = SolveObjects(ctx, p, all, capOf, nil, opt)
 		return err
 	})
 	if rec := obs.FromContext(ctx); rec != nil {
@@ -78,39 +92,55 @@ func SolveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 	return res, err
 }
 
-// solveCtx is the span-free body of SolveCtx.
-func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error) {
+// SolveObjects builds formulation (3) over the objects objs and solves it,
+// holding every other object at its committed choice (committed[i], -1 for
+// unrouted; nil commits nothing). Each object of objs selects at most one
+// candidate (3b), every edge keeps the track need of objs within
+// capOf(layer, idx) (3c), and the pair costs of objs are linearized: a pair
+// inside objs gets a product variable, and a pair with a committed partner
+// outside objs is linear in the candidate, so it folds into the
+// candidate's cost (Eq. 4). The monolithic solve is SolveObjects over
+// every object at full capacity; a hier tile is SolveObjects over the
+// tile's objects at the residual capacity the earlier tiles left.
+//
+// The Assignment of the result is committed with the selections of objs
+// in place, and Objective is its (3a) value. Context cancellation and
+// deadlines act as in SolveCtx.
+func SolveObjects(ctx context.Context, p *route.Problem, objs []int, capOf func(l, idx int) int, committed []int, opt Options) (Result, error) {
 	start := time.Now()
-	if err := faultinject.Fire(ctx, faultinject.ExactSolve); err != nil {
-		return Result{}, fmt.Errorf("exact: %w", err)
-	}
 	maxVars := opt.MaxVars
 	if maxVars == 0 {
 		maxVars = 40000
 	}
-
-	// Variable layout: one binary per (object, candidate), then one
-	// continuous product variable per costed same-group candidate pair.
-	xIdx := make([][]int, len(p.Cands))
-	nx := 0
-	for i := range p.Cands {
-		xIdx[i] = make([]int, len(p.Cands[i]))
-		for j := range p.Cands[i] {
-			xIdx[i][j] = nx
-			nx++
-		}
+	a := p.NewAssignment()
+	copy(a.Choice, committed)
+	for _, i := range objs {
+		a.Choice[i] = -1
 	}
 
+	// Variable layout: one binary per (object, candidate) in objs order,
+	// then one continuous product variable per costed candidate pair
+	// inside objs. base[i] is object i's first binary, -1 outside objs.
+	base := make([]int, len(p.Objects))
+	for i := range base {
+		base[i] = -1
+	}
+	nx := 0
+	for _, i := range objs {
+		base[i] = nx
+		nx += len(p.Cands[i])
+	}
 	var pairs []pairTerm
-	for i := range p.Objects {
+	for _, i := range objs {
 		if err := ctx.Err(); err != nil {
 			if err == context.DeadlineExceeded {
-				return timedOutResult(p, start), nil
+				return Result{Status: ilp.TimedOut, TimedOut: true, Assignment: a,
+					Objective: p.ObjectiveValue(a), Runtime: time.Since(start)}, nil
 			}
 			return Result{}, fmt.Errorf("exact: %w", err)
 		}
 		for _, q := range p.Partners(i) {
-			if q <= i {
+			if q <= i || base[q] < 0 {
 				continue
 			}
 			for j := range p.Cands[i] {
@@ -129,13 +159,19 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 
 	m := ilp.NewModel(nVars)
 	// Objective: c(i,j) - M per selection variable (equivalent to charging
-	// M for every unrouted object, shifted by a constant), plus the pair
-	// costs on product variables.
-	for i := range p.Cands {
+	// M for every unrouted object, shifted by a constant) plus the pair
+	// costs against committed partners, and the pair costs on product
+	// variables.
+	for _, i := range objs {
 		for j := range p.Cands[i] {
-			v := xIdx[i][j]
-			m.SetInteger(v)
-			m.SetObj(v, p.Cost(i, j)-p.Opt.M)
+			cost := p.Cost(i, j) - p.Opt.M
+			for _, q := range p.Partners(i) {
+				if a.Choice[q] >= 0 {
+					cost += p.PairCost(i, j, q, a.Choice[q])
+				}
+			}
+			m.SetInteger(base[i] + j)
+			m.SetObj(base[i]+j, cost)
 		}
 	}
 	for k, pr := range pairs {
@@ -144,57 +180,51 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 
 	// Constraint (3b): at most one candidate per object (s_i is the slack).
 	// The same sets drive SOS branching in the solver.
-	for i := range p.Cands {
+	for _, i := range objs {
 		if len(p.Cands[i]) == 0 {
 			continue
 		}
-		terms := make([]ilp.Term, 0, len(p.Cands[i]))
+		terms := make([]ilp.Term, len(p.Cands[i]))
+		sos := make([]int, len(p.Cands[i]))
 		for j := range p.Cands[i] {
-			terms = append(terms, ilp.Term{Var: xIdx[i][j], Coef: 1})
+			terms[j] = ilp.Term{Var: base[i] + j, Coef: 1}
+			sos[j] = base[i] + j
 		}
 		m.AddConstraint(terms, 1)
-		m.AddSOS(xIdx[i])
-	}
-
-	// Constraint (3c): per-edge capacities, but only for edges that could
-	// actually overflow — other rows can never bind.
-	all := make([]int, len(p.Objects))
-	for i := range all {
-		all[i] = i
-	}
-	capOf := func(l, idx int) int {
-		x, y := p.Grid.EdgeCell(l, idx)
-		return p.Grid.Cap(l, x, y)
-	}
-	for _, row := range p.CapacityRows(all, capOf) {
-		terms := make([]ilp.Term, len(row.Uses))
-		for k, u := range row.Uses {
-			terms[k] = ilp.Term{Var: xIdx[u.Obj][u.Cand], Coef: float64(u.N)}
-		}
-		m.AddLazyConstraint(terms, float64(row.Limit))
+		m.AddSOS(sos)
 	}
 
 	// Product linearization: y >= x_ij + x_qr - 1, activated lazily (a
 	// product row only binds when both its candidates are selected).
 	for k, pr := range pairs {
 		m.AddLazyConstraint([]ilp.Term{
-			{Var: xIdx[pr.i][pr.j], Coef: 1},
-			{Var: xIdx[pr.q][pr.r], Coef: 1},
+			{Var: base[pr.i] + pr.j, Coef: 1},
+			{Var: base[pr.q] + pr.r, Coef: 1},
 			{Var: nx + k, Coef: -1},
 		}, 1)
 	}
 
+	// Constraint (3c), also lazy: per-edge capacities, but only for edges
+	// that could actually overflow — other rows can never bind.
+	for _, row := range p.CapacityRows(objs, capOf) {
+		terms := make([]ilp.Term, len(row.Uses))
+		for k, u := range row.Uses {
+			terms[k] = ilp.Term{Var: base[u.Obj] + u.Cand, Coef: float64(u.N)}
+		}
+		m.AddLazyConstraint(terms, float64(row.Limit))
+	}
+
 	solveOpt := ilp.SolveOptions{Ctx: ctx, TimeLimit: opt.TimeLimit}
 	if opt.WarmStart != nil {
+		warm := opt.WarmStart.Choice
 		inc := make([]float64, nVars)
-		for i, c := range opt.WarmStart.Choice {
-			if c >= 0 {
-				inc[xIdx[i][c]] = 1
+		for _, i := range objs {
+			if warm[i] >= 0 {
+				inc[base[i]+warm[i]] = 1
 			}
 		}
 		for k, pr := range pairs {
-			ci, cq := opt.WarmStart.Choice[pr.i], opt.WarmStart.Choice[pr.q]
-			if ci == pr.j && cq == pr.r {
+			if warm[pr.i] == pr.j && warm[pr.q] == pr.r {
 				inc[nx+k] = 1
 			}
 		}
@@ -206,25 +236,22 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 		Status:  res.Status,
 		Runtime: time.Since(start),
 		Vars:    nVars,
-		Cons:    m.NumConstraints(),
+		Cons:    m.NumConstraints() + m.NumLazyConstraints(),
 	}
 	switch res.Status {
-	case ilp.Optimal, ilp.Feasible:
-		out.TimedOut = res.Status == ilp.Feasible
-		out.Assignment = p.NewAssignment()
-		for i := range p.Cands {
-			for j := range p.Cands[i] {
-				if res.X[xIdx[i][j]] > 0.5 {
-					out.Assignment.Choice[i] = j
+	case ilp.Optimal, ilp.Feasible, ilp.TimedOut:
+		if res.X != nil {
+			for _, i := range objs {
+				for j := range p.Cands[i] {
+					if res.X[base[i]+j] > 0.5 {
+						a.Choice[i] = j
+					}
 				}
 			}
 		}
-		out.Objective = p.ObjectiveValue(out.Assignment)
-		return out, nil
-	case ilp.TimedOut:
-		out.TimedOut = true
-		out.Assignment = p.NewAssignment()
-		out.Objective = p.ObjectiveValue(out.Assignment)
+		out.TimedOut = res.Status != ilp.Optimal
+		out.Assignment = a
+		out.Objective = p.ObjectiveValue(a)
 		return out, nil
 	case ilp.Canceled:
 		if err := ctx.Err(); err != nil {
@@ -234,17 +261,4 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 	default:
 		return out, fmt.Errorf("exact: ILP reported %v", res.Status)
 	}
-}
-
-// timedOutResult is the all-unrouted result reported when the deadline
-// expired before the search could even start.
-func timedOutResult(p *route.Problem, start time.Time) Result {
-	out := Result{
-		Status:     ilp.TimedOut,
-		TimedOut:   true,
-		Assignment: p.NewAssignment(),
-		Runtime:    time.Since(start),
-	}
-	out.Objective = p.ObjectiveValue(out.Assignment)
-	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/exact"
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/hier"
 	"repro/internal/ilp"
 	"repro/internal/obs"
@@ -37,8 +38,15 @@ func tinyDesign() *signal.Design {
 // bruteForce enumerates every assignment (including unrouted) and returns
 // the minimum legal objective.
 func bruteForce(p *route.Problem) float64 {
+	return bruteForceFrom(p, p.NewAssignment(), 0)
+}
+
+// bruteForceFrom enumerates every choice (including unrouted) of objects
+// from.. with the earlier objects held at a's choices, and returns the
+// minimum legal objective.
+func bruteForceFrom(p *route.Problem, a route.Assignment, from int) float64 {
+	a.Choice = append([]int(nil), a.Choice...)
 	best := math.Inf(1)
-	a := p.NewAssignment()
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(p.Objects) {
@@ -55,7 +63,7 @@ func bruteForce(p *route.Problem) float64 {
 		}
 		a.Choice[i] = -1
 	}
-	rec(0)
+	rec(from)
 	return best
 }
 
@@ -97,6 +105,49 @@ func TestSolveMatchesBruteForceUnderTightCapacity(t *testing.T) {
 	}
 	if err := p.Legal(res.Assignment); err != nil {
 		t.Fatalf("assignment illegal: %v", err)
+	}
+}
+
+// TestSolveCountsLazyRows: Cons is the model size, so it counts the
+// lazy product and capacity rows next to the (3b) rows, and the exact.cons
+// counter reports it. The tiny design gets one track per edge, and its
+// first group's second bit a different shape, so that bit becomes an
+// object of its own with pair terms against the first.
+func TestSolveCountsLazyRows(t *testing.T) {
+	d := tinyDesign()
+	d.Grid.EdgeCap = 1
+	d.Groups[0].Bits[1].Pins[1].Loc = geom.Pt(12, 5)
+	p, err := route.Build(d, route.Options{MaxCandidates: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	res, err := exact.SolveCtx(obs.WithRecorder(context.Background(), rec), p, exact.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, len(p.Objects))
+	assign, nx := 0, 0
+	for i := range p.Objects {
+		all[i] = i
+		if len(p.Cands[i]) > 0 {
+			assign++
+		}
+		nx += len(p.Cands[i])
+	}
+	products := res.Vars - nx // one lazy row per product variable
+	capRows := len(p.CapacityRows(all, func(l, idx int) int {
+		x, y := p.Grid.EdgeCell(l, idx)
+		return p.Grid.Cap(l, x, y)
+	}))
+	if products == 0 || capRows == 0 {
+		t.Fatalf("tiny design has %d product and %d capacity rows; want both", products, capRows)
+	}
+	if want := assign + products + capRows; res.Cons != want {
+		t.Errorf("Cons = %d, want %d (3b) + %d product + %d capacity = %d", res.Cons, assign, products, capRows, want)
+	}
+	if got := rec.Counter(obs.CounterExactCons); got != int64(res.Cons) {
+		t.Errorf("exact.cons counter = %d, want %d", got, res.Cons)
 	}
 }
 
@@ -263,4 +314,68 @@ func TestSweepMatchesEnumeration(t *testing.T) {
 	if lazyActive == 0 {
 		t.Fatal("no trial activated a lazy capacity or product row")
 	}
+}
+
+// TestSweepSubsetMatchesEnumeration is the oracle of a solve over a subset
+// at residual capacity, which is how hier solves a tile. The first half of
+// the objects is committed, each at its first fitting candidate; the solve
+// over the second half must reach the enumerated optimum with the first
+// half held fixed. Pair costs between the halves reach the model only
+// through the Eq. 4 fold into the candidate costs.
+func TestSweepSubsetMatchesEnumeration(t *testing.T) {
+	trials := 300
+	if testing.Short() {
+		trials = 40
+	}
+	crossPairs := 0
+	for trial := 0; trial < trials; trial++ {
+		p, err := route.Build(oracleDesign(int64(trial)), route.Options{MaxCandidates: 3})
+		if err != nil {
+			t.Fatalf("trial %d: build: %v", trial, err)
+		}
+		half := len(p.Objects) / 2
+		committed := p.NewAssignment()
+		u := grid.NewUsage(p.Grid)
+		for i := 0; i < half; i++ {
+			for j := range p.Cands[i] {
+				if p.CandidateFits(i, j, u) {
+					committed.Choice[i] = j
+					for _, e := range p.Cands[i][j].Edges {
+						u.Add(int(e.Layer), int(e.Idx), int(e.N))
+					}
+					break
+				}
+			}
+		}
+		var rest []int
+		for i := half; i < len(p.Objects); i++ {
+			rest = append(rest, i)
+			for _, q := range p.Partners(i) {
+				if q < half && committed.Choice[q] >= 0 {
+					crossPairs++
+				}
+			}
+		}
+		want := bruteForceFrom(p, committed, half)
+
+		res, err := exact.SolveObjects(context.Background(), p, rest, u.Avail, committed.Choice, exact.Options{})
+		if err != nil {
+			t.Fatalf("trial %d: subset solve: %v", trial, err)
+		}
+		if res.Status != ilp.Optimal || math.Abs(res.Objective-want) > 1e-6 {
+			t.Fatalf("trial %d: subset objective %v (status %v), want %v", trial, res.Objective, res.Status, want)
+		}
+		for i := 0; i < half; i++ {
+			if res.Assignment.Choice[i] != committed.Choice[i] {
+				t.Fatalf("trial %d: committed object %d moved from %d to %d", trial, i, committed.Choice[i], res.Assignment.Choice[i])
+			}
+		}
+		if err := p.Legal(res.Assignment); err != nil {
+			t.Fatalf("trial %d: subset assignment illegal: %v", trial, err)
+		}
+	}
+	if crossPairs == 0 {
+		t.Fatal("no trial committed a partner of a free object; the Eq. 4 fold went unchecked")
+	}
+	t.Logf("%d trials, %d committed cross-partner pairs", trials, crossPairs)
 }

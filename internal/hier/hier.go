@@ -1,11 +1,11 @@
 // Package hier implements the scalability extension the paper sketches in
 // §V-A and §VI: a hierarchical, divide-and-conquer exact flow. The design
-// is cut into spatial tiles; each tile's objects form a small ILP solved
-// against the residual capacities left by earlier tiles, and objects that
-// span tiles (or that a tile ILP left unrouted) are swept up by a final
-// greedy pass. Tile models stay tiny, so the exact solver scales to
-// benchmarks whose monolithic formulation (3) is far beyond any time
-// limit.
+// is cut into spatial tiles; each tile is formulation (3) restricted to
+// its objects (exact.SolveObjects), solved against the residual capacities
+// left by earlier tiles, and objects that span tiles (or that a tile ILP
+// left unrouted) are swept up by a final greedy pass. Tile models stay
+// tiny, so the exact solver scales to benchmarks whose monolithic
+// formulation (3) is far beyond any time limit.
 package hier
 
 import (
@@ -18,7 +18,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/geom"
 	"repro/internal/grid"
-	"repro/internal/ilp"
 	"repro/internal/obs"
 	"repro/internal/route"
 )
@@ -29,9 +28,6 @@ type Options struct {
 	Tiles int
 	// TimePerTile bounds each tile's ILP. Default 5s.
 	TimePerTile time.Duration
-	// MaxVarsPerTile guards each tile model's size; oversized tiles fall
-	// back to the greedy pass. Default 20000.
-	MaxVarsPerTile int
 	// Workers is ignored: tiles always solve in order, each against the
 	// residual capacity left by earlier tiles.
 	//
@@ -45,9 +41,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TimePerTile == 0 {
 		o.TimePerTile = 5 * time.Second
-	}
-	if o.MaxVarsPerTile == 0 {
-		o.MaxVarsPerTile = 20000
 	}
 	return o
 }
@@ -132,10 +125,15 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 		if err := faultinject.Fire(ctx, faultinject.HierTile); err != nil {
 			return finish(fmt.Errorf("hier: %w", err))
 		}
-		plan, timedOut := planTile(ctx, p, objs, u, a.Choice, opt)
-		commitPlan(p, plan, u, &a)
+		// A tile whose model exceeds exact's size guard, or whose ILP ends
+		// without a solution, commits nothing and leaves its objects to the
+		// sweep; a cancellation surfaces at the next tile or in the sweep.
+		tile, err := exact.SolveObjects(ctx, p, objs, u.Avail, a.Choice, exact.Options{TimeLimit: opt.TimePerTile})
+		if err == nil {
+			commitTile(p, objs, tile.Assignment, u, &a)
+		}
 		res.TilesSolved++
-		if timedOut {
+		if tile.TimedOut {
 			res.TilesTimedOut++
 		}
 	}
@@ -172,128 +170,23 @@ func partition(p *route.Problem, tiles int) [][]int {
 	return out
 }
 
-// candSel names candidate j of object i, picked by a tile plan.
-type candSel struct{ i, j int }
-
-// commitPlan applies a tile plan: each selection commits iff its object is
-// still unrouted and the candidate fits the remaining capacity.
-func commitPlan(p *route.Problem, plan []candSel, u *grid.Usage, a *route.Assignment) {
-	for _, s := range plan {
-		if a.Choice[s.i] >= 0 || !p.CandidateFits(s.i, s.j, u) {
-			continue
-		}
-		a.Choice[s.i] = s.j
-		for _, e := range p.Cands[s.i][s.j].Edges {
-			u.Add(int(e.Layer), int(e.Idx), int(e.N))
+// commitTile applies a tile's selections: each commits iff its object is
+// still unrouted and the candidate fits the remaining capacity (a defense
+// against numeric drift in the LP).
+func commitTile(p *route.Problem, objs []int, tile route.Assignment, u *grid.Usage, a *route.Assignment) {
+	for _, i := range objs {
+		if j := tile.Choice[i]; j >= 0 && a.Choice[i] < 0 && p.CandidateFits(i, j, u) {
+			place(p, i, j, u, a)
 		}
 	}
 }
 
-// planTile builds and solves the tile-restricted ILP against the residual
-// capacities in u and the committed choices snapshot, returning the
-// selections to commit and whether the tile hit its time limit. It never
-// mutates u or choice; commitPlan applies the plan. A canceled context
-// aborts the tile ILP with an empty plan; the caller notices the
-// cancellation itself.
-func planTile(ctx context.Context, p *route.Problem, objs []int, u *grid.Usage, choice []int, opt Options) (plan []candSel, timedOut bool) {
-	// Variable layout: per (tile object, candidate).
-	type ref struct{ i, j int }
-	var vars []ref
-	varOf := make(map[ref]int)
-	inTile := make(map[int]bool, len(objs))
-	for _, i := range objs {
-		inTile[i] = true
-		for j := range p.Cands[i] {
-			varOf[ref{i, j}] = len(vars)
-			vars = append(vars, ref{i, j})
-		}
+// place selects candidate j for object i and reserves its tracks.
+func place(p *route.Problem, i, j int, u *grid.Usage, a *route.Assignment) {
+	a.Choice[i] = j
+	for _, e := range p.Cands[i][j].Edges {
+		u.Add(int(e.Layer), int(e.Idx), int(e.N))
 	}
-	if len(vars) == 0 || len(vars) > opt.MaxVarsPerTile {
-		return nil, false
-	}
-
-	// Within-tile pair terms keep the regularity objective alive inside
-	// each subproblem; they are linearized exactly like exact.Solve does.
-	type pair struct {
-		v1, v2 int
-		cost   float64
-	}
-	var pairs []pair
-	for _, i := range objs {
-		for _, q := range p.Partners(i) {
-			if q <= i || !inTile[q] {
-				continue
-			}
-			for j := range p.Cands[i] {
-				for r := range p.Cands[q] {
-					if c := p.PairCost(i, j, q, r); c > 1e-9 {
-						pairs = append(pairs, pair{varOf[ref{i, j}], varOf[ref{q, r}], c})
-					}
-				}
-			}
-		}
-	}
-	if len(vars)+len(pairs) > opt.MaxVarsPerTile {
-		pairs = nil // keep the tile solvable; regularity falls to the sweep
-	}
-
-	m := ilp.NewModel(len(vars) + len(pairs))
-	for vi, r := range vars {
-		m.SetInteger(vi)
-		cost := p.Cost(r.i, r.j) - p.Opt.M
-		// Pair costs against already-committed partners fold into the
-		// linear cost (the Eq. 4 trick).
-		for _, q := range p.Partners(r.i) {
-			if choice[q] >= 0 {
-				cost += p.PairCost(r.i, r.j, q, choice[q])
-			}
-		}
-		m.SetObj(vi, cost)
-	}
-	for k, pr := range pairs {
-		y := len(vars) + k
-		m.SetObj(y, pr.cost)
-		m.AddLazyConstraint([]ilp.Term{
-			{Var: pr.v1, Coef: 1}, {Var: pr.v2, Coef: 1}, {Var: y, Coef: -1},
-		}, 1)
-	}
-	for _, i := range objs {
-		var terms []ilp.Term
-		for j := range p.Cands[i] {
-			terms = append(terms, ilp.Term{Var: varOf[ref{i, j}], Coef: 1})
-		}
-		if len(terms) > 0 {
-			m.AddConstraint(terms, 1)
-			sos := make([]int, len(terms))
-			for k, t := range terms {
-				sos[k] = t.Var
-			}
-			m.AddSOS(sos)
-		}
-	}
-	// Residual capacity rows (lazy), only over edges where the tile's largest
-	// possible demand exceeds the residual capacity: no other row can ever
-	// be violated.
-	for _, row := range p.CapacityRows(objs, u.Avail) {
-		terms := make([]ilp.Term, len(row.Uses))
-		for k, cu := range row.Uses {
-			terms[k] = ilp.Term{Var: varOf[ref{cu.Obj, cu.Cand}], Coef: float64(cu.N)}
-		}
-		m.AddLazyConstraint(terms, float64(row.Limit))
-	}
-
-	res := ilp.Solve(m, ilp.SolveOptions{Ctx: ctx, TimeLimit: opt.TimePerTile})
-	if res.Status != ilp.Optimal && res.Status != ilp.Feasible {
-		return nil, res.Status == ilp.TimedOut
-	}
-	// The capacity double-check (defense against numeric drift in the LP)
-	// happens at commit time in commitPlan.
-	for vi, r := range vars {
-		if res.X[vi] > 0.5 && choice[r.i] < 0 {
-			plan = append(plan, candSel{r.i, r.j})
-		}
-	}
-	return plan, res.Status == ilp.Feasible
 }
 
 // greedySweep routes remaining objects cheapest-first (candidate cost plus
@@ -336,10 +229,7 @@ func greedySweep(ctx context.Context, p *route.Problem, u *grid.Usage, a *route.
 		if bestJ == -1 {
 			continue
 		}
-		a.Choice[i] = bestJ
-		for _, e := range p.Cands[i][bestJ].Edges {
-			u.Add(int(e.Layer), int(e.Idx), int(e.N))
-		}
+		place(p, i, bestJ, u, a)
 		routed++
 	}
 	return routed, nil
@@ -352,11 +242,4 @@ func bestCost(p *route.Problem, i int, a *route.Assignment) float64 {
 		return 1e18
 	}
 	return p.Cost(i, 0)
-}
-
-// SolveMonolithic is the comparison point: the whole-design exact solve
-// (identical to exact.Solve), exposed here so benchmarks can compare the
-// two flows side by side.
-func SolveMonolithic(p *route.Problem, timeLimit time.Duration, warm *route.Assignment) (exact.Result, error) {
-	return exact.Solve(p, exact.Options{TimeLimit: timeLimit, WarmStart: warm})
 }

@@ -111,10 +111,10 @@ func Solve(m *Model, opt SolveOptions) Result {
 	simplexIters := 0
 	lazyActivated := 0
 	lpSolves := 0
-	scr := getScratch()
+	scr := lpScratchPool.Get().(*lpScratch)
 	scrFresh := scr.fresh
 	scr.fresh = false
-	defer putScratch(scr)
+	defer lpScratchPool.Put(scr)
 	rec := obs.FromContext(ctx)
 	defer func() {
 		if rec == nil {

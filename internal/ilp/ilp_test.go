@@ -150,11 +150,18 @@ func TestSolveNoVariables(t *testing.T) {
 	}
 }
 
+// addProduct adds the eager product row x1 + x2 - y <= 1: with a
+// nonnegative cost on the continuous y, minimization keeps y at
+// max(0, x1 + x2 - 1), the product of the binaries x1 and x2.
+func addProduct(m *Model, x1, x2, y int) {
+	m.AddConstraint([]Term{{x1, 1}, {x2, 1}, {y, -1}}, 1)
+}
+
 // bruteForce enumerates every binary assignment and returns the best
 // feasible objective. The walk is in Gray-code order, so each step flips
 // one binary and updates only the rows it appears in. Continuous variables
 // may only appear as the negative term of product rows x1 + x2 - y <= 1
-// (see AddProduct) and carry a nonnegative objective, so each takes the
+// (see addProduct) and carry a nonnegative objective, so each takes the
 // least value its rows allow.
 func bruteForce(m *Model) float64 {
 	rows := append(append([]constraint(nil), m.cons...), m.lazy...)
@@ -268,7 +275,7 @@ func randomModel(r *rand.Rand) *Model {
 		if a == b {
 			continue
 		}
-		m.AddProduct(a, b, y)
+		addProduct(m, a, b, y)
 	}
 	return m
 }
@@ -384,7 +391,7 @@ func TestProductLinearization(t *testing.T) {
 	m.SetObj(0, -1)
 	m.SetObj(1, -1)
 	m.SetObj(2, 10)
-	m.AddProduct(0, 1, 2)
+	addProduct(m, 0, 1, 2)
 	res := Solve(m, SolveOptions{})
 	if res.Status != Optimal || math.Abs(res.Obj-(-1)) > 1e-6 {
 		t.Fatalf("res = %+v, want obj -1", res)
@@ -396,7 +403,7 @@ func TestProductLinearization(t *testing.T) {
 	m2.SetObj(0, -1)
 	m2.SetObj(1, -1)
 	m2.SetObj(2, 0.5)
-	m2.AddProduct(0, 1, 2)
+	addProduct(m2, 0, 1, 2)
 	res = Solve(m2, SolveOptions{})
 	if res.Status != Optimal || math.Abs(res.Obj-(-1.5)) > 1e-6 {
 		t.Fatalf("res = %+v, want obj -1.5", res)
@@ -488,7 +495,7 @@ func sweepModelFloat(trial int) *Model {
 
 // sweepModelExact draws the sign pattern of the exact formulation (3):
 // selection binaries costing c - M < 0 on "at most one" rows, positive-cost
-// product variables (eager via AddProduct, or lazy as the exact solver adds
+// product variables (eager via addProduct, or lazy as the exact solver adds
 // them), and eager and lazy capacity rows. Every model also holds one
 // negative-cost binary in no row and one that only a lazy row mentions; no
 // active row prices either, so each must start at its optimal bound.
@@ -549,7 +556,7 @@ func sweepModelExact(trial int) *Model {
 		g2 := (g1 + 1 + rng.Intn(nGroups-1)) % nGroups
 		a, b := groups[g1][rng.Intn(per)], groups[g2][rng.Intn(per)]
 		if p%2 == 0 {
-			m.AddProduct(a, b, y)
+			addProduct(m, a, b, y)
 		} else {
 			m.AddLazyConstraint([]Term{{Var: a, Coef: 1}, {Var: b, Coef: 1}, {Var: y, Coef: -1}}, 1)
 		}

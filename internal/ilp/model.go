@@ -167,15 +167,6 @@ func (m *Model) Feasible(x []float64, tol float64) bool {
 	return true
 }
 
-// AddProduct linearizes the binary product x1*x2 with cost weight: it
-// allocates (conceptually) a continuous variable y already present in the
-// model at index yVar, constrains y >= x1 + x2 - 1, and relies on weight
-// >= 0 plus minimization to keep y at max(0, x1+x2-1). The caller sets the
-// objective weight on yVar.
-func (m *Model) AddProduct(x1, x2, yVar int) {
-	m.AddConstraint([]Term{{x1, 1}, {x2, 1}, {yVar, -1}}, 1)
-}
-
 const (
 	// tol is the general numeric tolerance.
 	tol = 1e-7

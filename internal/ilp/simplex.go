@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -103,27 +102,7 @@ type lpScratch struct {
 	fresh bool // true until first reuse; lets callers report pooled-vs-fresh
 }
 
-var (
-	lpScratchPool = sync.Pool{New: func() any {
-		scratchFresh.Add(1)
-		return &lpScratch{fresh: true}
-	}}
-	scratchGets  atomic.Int64
-	scratchFresh atomic.Int64
-)
-
-func getScratch() *lpScratch {
-	scratchGets.Add(1)
-	return lpScratchPool.Get().(*lpScratch)
-}
-
-func putScratch(s *lpScratch) { lpScratchPool.Put(s) }
-
-// ScratchCounters reports cumulative simplex-scratch acquisitions and how
-// many had to allocate fresh — the pooled-vs-fresh telemetry split.
-func ScratchCounters() (gets, fresh int64) {
-	return scratchGets.Load(), scratchFresh.Load()
-}
+var lpScratchPool = sync.Pool{New: func() any { return &lpScratch{fresh: true} }}
 
 // solveLP minimizes the model objective over the LP relaxation with the
 // given per-variable bounds, using a bounded-variable primal simplex on the

@@ -43,8 +43,7 @@ type Store struct {
 	log *seglog.Log
 
 	mu       sync.Mutex
-	recs     []storedRec      // in append order, so ascending by segment
-	agg      map[string]int64 // running sum of report counters
+	recs     []storedRec // in append order, so ascending by segment
 	appended int64
 	skipped  int64 // unreadable records skipped during replay
 }
@@ -70,9 +69,9 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: opening store: %w", err)
 	}
-	s := &Store{dir: cfg.Dir, log: log, agg: make(map[string]int64)}
+	s := &Store{dir: cfg.Dir, log: log}
 	skipped, err := seglog.Replay(cfg.Dir, storeName, cfg.Logf, decodeRecord, func(seq int, rec Record) error {
-		s.admit(seq, rec)
+		s.recs = append(s.recs, storedRec{seg: seq, rec: rec})
 		return nil
 	})
 	s.skipped = int64(skipped)
@@ -81,17 +80,6 @@ func OpenStore(cfg StoreConfig) (*Store, error) {
 		return nil, fmt.Errorf("telemetry: replaying store: %w", err)
 	}
 	return s, nil
-}
-
-// admit appends one record to the working set and folds a report's
-// counters into the running aggregate.
-func (s *Store) admit(seq int, rec Record) {
-	s.recs = append(s.recs, storedRec{seg: seq, rec: rec})
-	if rec.Kind == KindReport && rec.Report != nil {
-		for k, v := range rec.Report.Counters {
-			s.agg[k] += v
-		}
-	}
 }
 
 // decodeRecord parses one segment payload.
@@ -132,27 +120,23 @@ func (s *Store) Append(recs []Record) error {
 		return fmt.Errorf("telemetry: appending records: %w", err)
 	}
 	for _, rec := range recs {
-		s.admit(seq, rec)
+		s.recs = append(s.recs, storedRec{seg: seq, rec: rec})
 		s.appended++
 	}
 	s.retire()
 	return nil
 }
 
-// retire drops the working-set records of the segments retention deleted
-// and rebuilds the counter aggregate from the survivors, so the Prometheus
-// view tracks the lake's actual contents. Caller holds mu.
+// retire drops the working-set records of the segments retention deleted,
+// so queries see the lake's actual contents. Caller holds mu.
 func (s *Store) retire() {
 	oldest, _ := s.log.Segments()
-	if len(s.recs) == 0 || s.recs[0].seg >= oldest {
-		return
+	n := 0
+	for n < len(s.recs) && s.recs[n].seg < oldest {
+		n++
 	}
-	kept := s.recs
-	s.recs, s.agg = nil, make(map[string]int64)
-	for _, sr := range kept {
-		if sr.seg >= oldest {
-			s.admit(sr.seg, sr.rec)
-		}
+	if n > 0 {
+		s.recs = append([]storedRec(nil), s.recs[n:]...)
 	}
 }
 
@@ -166,22 +150,6 @@ func (s *Store) Records() []Record {
 	out := make([]Record, len(s.recs))
 	for i := range s.recs {
 		out[i] = s.recs[i].rec
-	}
-	return out
-}
-
-// AggregateCounters returns the summed solver counters across every report
-// record in the working set (nil when none) — the fleet-wide view the
-// /metrics endpoint exposes.
-func (s *Store) AggregateCounters() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.agg) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(s.agg))
-	for k, v := range s.agg {
-		out[k] = v
 	}
 	return out
 }

@@ -40,7 +40,7 @@ func openTestStore(t *testing.T, dir string, mut ...func(*StoreConfig)) *Store {
 }
 
 // TestStoreReplay is the restart path: append, close, reopen, and the
-// working set (records, counter aggregate, scenario runs) must be intact.
+// working set (records, their counters, scenario runs) must be intact.
 func TestStoreReplay(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestStore(t, dir)
@@ -65,8 +65,8 @@ func TestStoreReplay(t *testing.T) {
 	if got[0].Report.Design != "d1" || got[2].Scenario.Name != "churnchaos" {
 		t.Errorf("replayed records mangled: %+v", got)
 	}
-	if agg := s2.AggregateCounters(); agg["pd.iterations"] != 6 {
-		t.Errorf("counter aggregate = %v, want pd.iterations 6", agg)
+	if n := got[1].Report.Counters["pd.iterations"]; n != 3 {
+		t.Errorf("replayed report counters = %v, want pd.iterations 3", got[1].Report.Counters)
 	}
 	if st := s2.Stats(); st.ReplaySkipped != 0 {
 		t.Errorf("clean replay skipped %d records", st.ReplaySkipped)
@@ -205,21 +205,19 @@ func TestStoreRotationRetention(t *testing.T) {
 	if st.Records >= 40 {
 		t.Errorf("working set kept all %d records despite retention", st.Records)
 	}
-	// The aggregate tracks the surviving records, not history.
+	// Retention drops the oldest records; the newest stay, in order.
 	recs := s.Records()
-	var want int64
-	for _, r := range recs {
-		want += r.Report.Counters["pd.iterations"]
-	}
-	if got := s.AggregateCounters()["pd.iterations"]; got != want {
-		t.Errorf("aggregate = %d, want %d (working set only)", got, want)
+	for k, r := range recs {
+		if want := int64(40 - len(recs) + k); r.TimeMS != want {
+			t.Fatalf("record %d of %d has t_ms %d, want %d", k, len(recs), r.TimeMS, want)
+		}
 	}
 }
 
 // TestStoreSkipsRetiredBenchRecords: a lake written before the bench
 // record kind was retired may hold "kind":"bench" lines. Replay logs,
-// counts and skips them like any unknown kind; the records around them and
-// the counter aggregate survive.
+// counts and skips them like any unknown kind; the records around them
+// survive.
 func TestStoreSkipsRetiredBenchRecords(t *testing.T) {
 	dir := t.TempDir()
 	var seg strings.Builder
@@ -242,9 +240,6 @@ func TestStoreSkipsRetiredBenchRecords(t *testing.T) {
 	}
 	if st := s.Stats(); st.ReplaySkipped != 1 {
 		t.Errorf("ReplaySkipped = %d, want 1 (the bench line)", st.ReplaySkipped)
-	}
-	if agg := s.AggregateCounters(); agg["pd.iterations"] != 3 {
-		t.Errorf("counter aggregate = %v, want pd.iterations 3", agg)
 	}
 }
 
