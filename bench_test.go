@@ -89,10 +89,10 @@ func BenchmarkTable1ILP(b *testing.B) {
 			warm := pd.Solve(p)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := exact.Solve(p, exact.Options{
-					TimeLimit: 2 * time.Second,
-					WarmStart: &warm.Assignment,
-				}); err != nil {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				_, err := exact.SolveCtx(ctx, p, exact.Options{WarmStart: &warm.Assignment})
+				cancel()
+				if err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -356,10 +356,10 @@ func BenchmarkHierarchicalVsMonolithic(b *testing.B) {
 	warm := pd.Solve(p)
 	b.Run("monolithic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := exact.Solve(p, exact.Options{
-				TimeLimit: 2 * time.Second,
-				WarmStart: &warm.Assignment,
-			}); err != nil {
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			_, err := exact.SolveCtx(ctx, p, exact.Options{WarmStart: &warm.Assignment})
+			cancel()
+			if err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -216,6 +216,11 @@ func Check(d *signal.Design, g *grid.Grid, r *route.Routing) Report {
 
 // auditBit checks one routed bit's layers, bounds and connectivity. A
 // non-empty return means the bit's usage must not be applied to the grid.
+// The raw segments are checked before anything canonicalizes them:
+// canonicalization would fold a diagonal wire into an axis-aligned run, and
+// its packed kernels panic on coordinates far off the grid. A bit with a
+// wire that is diagonal or leaves the grid is reported OffGrid and gets no
+// connectivity check.
 func auditBit(d *signal.Design, g *grid.Grid, gi, bi int, br *route.BitRoute) []Violation {
 	var out []Violation
 	badLayer := func(l int, want grid.Dir, role string) {
@@ -236,22 +241,25 @@ func auditBit(d *signal.Design, g *grid.Grid, gi, bi int, br *route.BitRoute) []
 	badLayer(br.HLayer, grid.Horizontal, "horizontal")
 	badLayer(br.VLayer, grid.Vertical, "vertical")
 
-	for _, s := range br.Tree.Canon().Segs {
-		n := s.Norm()
-		if !n.Horizontal() && !n.Vertical() {
+	offGrid := false
+	for _, s := range br.Tree.Segs {
+		switch {
+		case !s.Horizontal() && !s.Vertical():
 			out = append(out, Violation{
 				Kind: OffGrid, Group: gi, Bit: bi, Layer: -1,
 				Detail: fmt.Sprintf("segment %v is not rectilinear", s),
 			})
-			continue
-		}
-		if !g.InBounds(n.A.X, n.A.Y) || !g.InBounds(n.B.X, n.B.Y) {
+			offGrid = true
+		case !g.InBounds(s.A.X, s.A.Y) || !g.InBounds(s.B.X, s.B.Y):
 			out = append(out, Violation{
 				Kind: OffGrid, Group: gi, Bit: bi, Layer: -1,
 				Detail: fmt.Sprintf("segment %v leaves the %dx%d grid", s, g.W, g.H),
 			})
-			continue
+			offGrid = true
 		}
+	}
+	if offGrid {
+		return out
 	}
 
 	bit := &d.Groups[gi].Bits[bi]

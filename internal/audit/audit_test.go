@@ -108,20 +108,45 @@ func TestCheckOffGridAndDiagonalNeverPanic(t *testing.T) {
 	d, g, r := routedPair()
 	r.Bits[0][0].Tree = geom.NewTree(geom.S(geom.Pt(0, 0), geom.Pt(30, 0)))
 	// geom.S rejects diagonals at construction, but hostile or corrupted
-	// routings can still carry one via the struct literal. Canon reshapes
-	// it into a vertical run, so the auditor sees the symptom — the bit no
-	// longer touches its pins — and must report it rather than panic.
+	// routings can still carry one via the struct literal.
 	r.Bits[0][1].Tree = geom.Tree{Segs: []geom.Seg{{A: geom.Pt(0, 1), B: geom.Pt(3, 4)}}}
+	// A coordinate beyond the geometry kernels' packed range must be
+	// reported, not handed to them.
+	d.Groups[0].Bits = append(d.Groups[0].Bits, signal.Bit{Name: "b2",
+		Pins: []signal.Pin{{Loc: geom.Pt(0, 2)}, {Loc: geom.Pt(3, 2)}}})
+	r.Bits[0] = append(r.Bits[0], route.BitRoute{Routed: true, HLayer: 0, VLayer: 1,
+		Tree: geom.Tree{Segs: []geom.Seg{{A: geom.Pt(0, 2), B: geom.Pt(1<<31, 2)}}}})
 	rep := Check(d, g, r)
-	if n := rep.Count(OffGrid); n != 1 {
-		t.Fatalf("OffGrid count = %d, want 1 (%s)", n, rep.Summary())
+	if n := rep.Count(OffGrid); n != 3 {
+		t.Fatalf("OffGrid count = %d, want 3 (%s)", n, rep.Summary())
 	}
-	if n := rep.Count(Disconnected); n != 1 {
-		t.Fatalf("Disconnected count = %d, want 1 (%s)", n, rep.Summary())
+	// An off-grid bit gets no connectivity check.
+	if n := rep.Count(Disconnected); n != 0 {
+		t.Fatalf("Disconnected count = %d, want 0 (%s)", n, rep.Summary())
 	}
-	// Neither corrupt bit may contribute usage.
+	// No corrupt bit may contribute usage.
 	if n := rep.Count(OverCapacity); n != 0 {
 		t.Errorf("OverCapacity count = %d, want 0", n)
+	}
+}
+
+// TestCheckFlagsDiagonalWire pins that the raw segments are audited: the
+// diagonal (0,0)-(5,3) normalizes onto the vertical run x=0, y in [0,3],
+// which the bit's legal (0,0)-(0,4) wire covers, so a check of the
+// canonical segments alone would pass the bit.
+func TestCheckFlagsDiagonalWire(t *testing.T) {
+	d, g, r := routedPair()
+	d.Groups[0].Bits[0].Pins = []signal.Pin{{Loc: geom.Pt(0, 0)}, {Loc: geom.Pt(0, 4)}}
+	r.Bits[0][0].Tree = geom.Tree{Segs: []geom.Seg{
+		geom.S(geom.Pt(0, 0), geom.Pt(0, 4)),
+		{A: geom.Pt(0, 0), B: geom.Pt(5, 3)},
+	}}
+	rep := Check(d, g, r)
+	if n := rep.Count(OffGrid); n != 1 || len(rep.Violations) != 1 {
+		t.Fatalf("want exactly one OffGrid violation, got %s", rep.Summary())
+	}
+	if v := rep.Violations[0]; v.Group != 0 || v.Bit != 0 || !strings.Contains(v.Detail, "rectilinear") {
+		t.Errorf("violation = %v, want group 0 bit 0 not rectilinear", v)
 	}
 }
 

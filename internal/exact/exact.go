@@ -19,9 +19,6 @@ import (
 
 // Options tunes the exact solve.
 type Options struct {
-	// TimeLimit bounds the ILP solve (the paper uses 3600 s). Zero means
-	// no limit.
-	TimeLimit time.Duration
 	// WarmStart, when non-nil, primes branch and bound with a known
 	// feasible assignment (typically the primal-dual solution).
 	WarmStart *route.Assignment
@@ -61,10 +58,10 @@ func Solve(p *route.Problem, opt Options) (Result, error) {
 }
 
 // SolveCtx is Solve honoring the context: cancellation aborts both model
-// construction and the branch-and-bound search and returns ctx.Err(); a
-// context deadline acts exactly like Options.TimeLimit (whichever expires
-// first wins), so callers can drive the exact leg with one deadline
-// mechanism. It is SolveObjects over every object at full capacity, inside
+// construction and the branch-and-bound search and returns ctx.Err(); the
+// context deadline is the solve's time limit (the paper uses 3600 s): when
+// it expires the result reports TimedOut with the best assignment found.
+// It is SolveObjects over every object at full capacity, inside
 // the exact.solve fault point, the solve.ilp span and the model-size
 // counters.
 func SolveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error) {
@@ -214,7 +211,7 @@ func SolveObjects(ctx context.Context, p *route.Problem, objs []int, capOf func(
 		m.AddLazyConstraint(terms, float64(row.Limit))
 	}
 
-	solveOpt := ilp.SolveOptions{Ctx: ctx, TimeLimit: opt.TimeLimit}
+	solveOpt := ilp.SolveOptions{Ctx: ctx}
 	if opt.WarmStart != nil {
 		warm := opt.WarmStart.Choice
 		inc := make([]float64, nVars)

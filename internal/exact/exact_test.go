@@ -166,8 +166,8 @@ func TestSolveAtLeastAsGoodAsPrimalDual(t *testing.T) {
 	}
 }
 
-func TestSolveTimeLimitReportsTimeout(t *testing.T) {
-	// Congested multi-group design with a 1 ns limit: must time out
+func TestSolveDeadlineReportsTimeout(t *testing.T) {
+	// Congested multi-group design with a 1 ns deadline: must time out
 	// gracefully, never crash, and stay legal if it reports an assignment.
 	d := &signal.Design{
 		Name: "congested",
@@ -187,7 +187,9 @@ func TestSolveTimeLimitReportsTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exact.Solve(p, exact.Options{TimeLimit: time.Nanosecond})
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	res, err := exact.SolveCtx(ctx, p, exact.Options{})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}

@@ -129,10 +129,9 @@ type Activation struct {
 // Plan arms fault points and records activations. A Plan is safe for
 // concurrent use; the zero value is not valid — use NewPlan.
 type Plan struct {
-	mu     sync.Mutex
-	armed  map[string]*armedAction
-	log    []Activation
-	frozen bool
+	mu    sync.Mutex
+	armed map[string]*armedAction
+	log   []Activation
 }
 
 type armedAction struct {

@@ -19,7 +19,9 @@ import (
 
 // coordBias shifts signed G-cell coordinates into the 31-bit unsigned range
 // used by the packed sort keys. Coordinates must stay within
-// [-2^30, 2^30); packKey panics otherwise rather than silently mis-sorting.
+// [-2^30, 2^30); packRun panics otherwise rather than silently mis-sorting.
+// signal.Design.Validate bounds the grid far inside that range, so only a
+// caller bug can reach the panic.
 const coordBias = 1 << 30
 
 const coordMask = 1<<31 - 1
@@ -32,18 +34,19 @@ type lineRec struct {
 	hi  int32
 }
 
-// packKey builds a sort key ordering horizontal runs first, then fixed
-// ascending, then lo ascending — the canonical line order.
-func packKey(vertical bool, fixed, lo int) uint64 {
-	bf, bl := uint64(int64(fixed)+coordBias), uint64(int64(lo)+coordBias)
-	if bf > coordMask || bl > coordMask {
-		panic(fmt.Sprintf("geom: coordinate out of packed range: fixed=%d lo=%d", fixed, lo))
+// packRun packs one collinear run; its key orders horizontal runs first,
+// then fixed ascending, then lo ascending — the canonical line order. It
+// panics when fixed, lo or hi leaves the packed range.
+func packRun(vertical bool, fixed, lo, hi int) lineRec {
+	bf, bl, bh := uint64(int64(fixed)+coordBias), uint64(int64(lo)+coordBias), uint64(int64(hi)+coordBias)
+	if bf > coordMask || bl > coordMask || bh > coordMask {
+		panic(fmt.Sprintf("geom: coordinate out of packed range: fixed=%d lo=%d hi=%d", fixed, lo, hi))
 	}
 	k := bf<<31 | bl
 	if vertical {
 		k |= 1 << 62
 	}
-	return k
+	return lineRec{k, int32(hi)}
 }
 
 func (r lineRec) vertical() bool { return r.key>>62 != 0 }
@@ -122,9 +125,9 @@ func (a *Arena) merge(segs []Seg) []lineRec {
 		}
 		n := s.Norm()
 		if n.Horizontal() {
-			recs = append(recs, lineRec{packKey(false, n.A.Y, n.A.X), int32(n.B.X)})
+			recs = append(recs, packRun(false, n.A.Y, n.A.X, n.B.X))
 		} else {
-			recs = append(recs, lineRec{packKey(true, n.A.X, n.A.Y), int32(n.B.Y)})
+			recs = append(recs, packRun(true, n.A.X, n.A.Y, n.B.Y))
 		}
 	}
 	a.recs = recs
@@ -162,9 +165,6 @@ func (a *Arena) merge(segs []Seg) []lineRec {
 // WireLength returns the total length of the union of the segments —
 // Tree.WireLength without the per-call map and group slices.
 func (a *Arena) WireLength(segs []Seg) int {
-	if !segsInPackedRange(segs) {
-		return wideWireLength(segs)
-	}
 	total := 0
 	for _, r := range a.merge(segs) {
 		total += int(r.hi) - r.lo()
@@ -179,9 +179,6 @@ func (a *Arena) WireLength(segs []Seg) int {
 // horizontal and a vertical run; the kernel intersects the two sorted
 // extremity sets.
 func (a *Arena) Bends(segs []Seg) int {
-	if !segsInPackedRange(segs) {
-		return wideBends(segs)
-	}
 	lines := a.merge(segs)
 	hp, vp := a.hpts[:0], a.vpts[:0]
 	for _, l := range lines {
@@ -216,9 +213,6 @@ func (a *Arena) Bends(segs []Seg) int {
 // merged runs split at every endpoint or crossing touching them, in the
 // same order and with the same endpoints as Tree.Canon.
 func (a *Arena) AppendCanon(dst []Seg, segs []Seg) []Seg {
-	if !segsInPackedRange(segs) {
-		return wideAppendCanon(dst, segs)
-	}
 	lines := a.merge(segs)
 	// Horizontal runs sort first; hb is the first vertical index.
 	hb := len(lines)
@@ -272,168 +266,4 @@ func (a *Arena) Canon(segs []Seg) []Seg {
 	out := a.AppendCanon(a.canon[:0], segs)
 	a.canon = out
 	return out
-}
-
-// ---- wide-coordinate fallback ----
-//
-// The packed keys carry biased 31-bit coordinates, plenty for G-cell grids
-// but not for huge physical-unit spans (metrics on billion-cell grids). Each
-// kernel checks the input once and falls back to the wide path below, which
-// keeps the legacy full-int-range semantics at legacy speed; the fallback is
-// cold and allocates freely.
-
-// segsInPackedRange reports whether every endpoint fits the packed keys.
-func segsInPackedRange(segs []Seg) bool {
-	for _, s := range segs {
-		if !ptInPackedRange(s.A) || !ptInPackedRange(s.B) {
-			return false
-		}
-	}
-	return true
-}
-
-func ptInPackedRange(p Point) bool {
-	return p.X >= -coordBias && p.X < coordBias && p.Y >= -coordBias && p.Y < coordBias
-}
-
-// wideLine is a merged collinear run with unbounded coordinates.
-type wideLine struct {
-	vertical bool
-	fixed    int
-	lo, hi   int
-}
-
-// wideMerge is merge for out-of-range coordinates, producing the same
-// canonical run order (horizontal first, fixed ascending, lo ascending).
-func wideMerge(segs []Seg) []wideLine {
-	var runs []wideLine
-	for _, s := range segs {
-		if s.A == s.B {
-			continue
-		}
-		n := s.Norm()
-		if n.Horizontal() {
-			runs = append(runs, wideLine{false, n.A.Y, n.A.X, n.B.X})
-		} else {
-			runs = append(runs, wideLine{true, n.A.X, n.A.Y, n.B.Y})
-		}
-	}
-	slices.SortFunc(runs, func(x, y wideLine) int {
-		if x.vertical != y.vertical {
-			if x.vertical {
-				return 1
-			}
-			return -1
-		}
-		if x.fixed != y.fixed {
-			if x.fixed < y.fixed {
-				return -1
-			}
-			return 1
-		}
-		if x.lo != y.lo {
-			if x.lo < y.lo {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	})
-	m := 0
-	for i := 0; i < len(runs); {
-		cur := runs[i]
-		j := i + 1
-		for ; j < len(runs); j++ {
-			r := runs[j]
-			if r.vertical != cur.vertical || r.fixed != cur.fixed || r.lo > cur.hi {
-				break
-			}
-			if r.hi > cur.hi {
-				cur.hi = r.hi
-			}
-		}
-		runs[m] = cur
-		m++
-		i = j
-	}
-	return runs[:m]
-}
-
-func wideWireLength(segs []Seg) int {
-	total := 0
-	for _, l := range wideMerge(segs) {
-		total += l.hi - l.lo
-	}
-	return total
-}
-
-func wideAppendCanon(dst []Seg, segs []Seg) []Seg {
-	lines := wideMerge(segs)
-	for _, l := range lines {
-		cuts := []int{l.lo, l.hi}
-		for _, b := range lines {
-			if b.vertical == l.vertical {
-				continue
-			}
-			if b.fixed >= l.lo && b.fixed <= l.hi && l.fixed >= b.lo && l.fixed <= b.hi {
-				cuts = append(cuts, b.fixed)
-			}
-		}
-		slices.Sort(cuts)
-		prev := cuts[0]
-		for _, c := range cuts[1:] {
-			if c == prev {
-				continue
-			}
-			if l.vertical {
-				dst = append(dst, Seg{A: Point{l.fixed, prev}, B: Point{l.fixed, c}})
-			} else {
-				dst = append(dst, Seg{A: Point{prev, l.fixed}, B: Point{c, l.fixed}})
-			}
-			prev = c
-		}
-	}
-	return dst
-}
-
-func wideBends(segs []Seg) int {
-	var hp, vp [][2]int
-	for _, l := range wideMerge(segs) {
-		if l.vertical {
-			vp = append(vp, [2]int{l.fixed, l.lo}, [2]int{l.fixed, l.hi})
-		} else {
-			hp = append(hp, [2]int{l.lo, l.fixed}, [2]int{l.hi, l.fixed})
-		}
-	}
-	cmp := func(x, y [2]int) int {
-		if x[0] != y[0] {
-			if x[0] < y[0] {
-				return -1
-			}
-			return 1
-		}
-		if x[1] != y[1] {
-			if x[1] < y[1] {
-				return -1
-			}
-			return 1
-		}
-		return 0
-	}
-	slices.SortFunc(hp, cmp)
-	slices.SortFunc(vp, cmp)
-	bends := 0
-	for i, j := 0, 0; i < len(hp) && j < len(vp); {
-		switch c := cmp(hp[i], vp[j]); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			bends++
-			i++
-			j++
-		}
-	}
-	return bends
 }

@@ -337,41 +337,36 @@ func TestArenaKernelsMatchReference(t *testing.T) {
 }
 
 func TestArenaWideCoordinates(t *testing.T) {
-	// Coordinates beyond the packed 31-bit range must take the wide
-	// fallback and still match the reference kernels exactly.
-	rng := rand.New(rand.NewSource(13))
-	a := GetArena()
-	defer PutArena(a)
-	offsets := []Point{
-		{1 << 32, 0}, {0, -(1 << 40)}, {4_000_000_000, 4_000_000_000}, {-(1 << 31), 1 << 33},
+	// An endpoint outside the packed 31-bit range panics, whichever of the
+	// run's fixed coordinate, start or end it is: a wrapped key would
+	// mis-sort, and a wrapped end would corrupt every length.
+	const out = coordBias
+	segs := map[string]Seg{
+		"fixed":   {A: Pt(0, out), B: Pt(5, out)},
+		"lo":      {A: Pt(-out-1, 0), B: Pt(0, 0)},
+		"hi":      {A: Pt(0, 0), B: Pt(out, 0)},
+		"v-fixed": {A: Pt(-out-1, 0), B: Pt(-out-1, 5)},
+		"v-lo":    {A: Pt(0, -out-1), B: Pt(0, 3)},
+		"v-hi":    {A: Pt(0, 0), B: Pt(0, 1<<40)},
 	}
-	for trial := 0; trial < 200; trial++ {
-		off := offsets[trial%len(offsets)]
-		segs := randSegs(rng, 1+rng.Intn(10))
-		for i := range segs {
-			segs[i].A = segs[i].A.Add(off)
-			segs[i].B = segs[i].B.Add(off)
-		}
-		if got, want := a.WireLength(segs), refWireLength(segs); got != want {
-			t.Fatalf("trial %d: wide WireLength=%d want %d", trial, got, want)
-		}
-		gotCanon, wantCanon := a.Canon(segs), refCanon(segs)
-		if len(gotCanon) != len(wantCanon) {
-			t.Fatalf("trial %d: wide Canon len=%d want %d", trial, len(gotCanon), len(wantCanon))
-		}
-		for i := range gotCanon {
-			if gotCanon[i] != wantCanon[i] {
-				t.Fatalf("trial %d: wide Canon[%d]=%v want %v", trial, i, gotCanon[i], wantCanon[i])
-			}
-		}
-		if got, want := a.Bends(segs), refBends(segs); got != want {
-			t.Fatalf("trial %d: wide Bends=%d want %d", trial, got, want)
-		}
+	a := new(Arena)
+	kernels := map[string]func(Seg){
+		"WireLength": func(s Seg) { a.WireLength([]Seg{s}) },
+		"Bends":      func(s Seg) { a.Bends([]Seg{s}) },
+		"Canon":      func(s Seg) { a.Canon([]Seg{s}) },
+		"Connected":  func(s Seg) { Tree{Segs: []Seg{s}}.Connected([]Point{s.A, s.B}) },
 	}
-	// A single maximal span reproduces the metrics huge-grid scenario.
-	const span = 4_000_000_000
-	if got := a.WireLength([]Seg{S(Pt(0, 0), Pt(span, 0))}); got != span {
-		t.Fatalf("huge span WireLength=%d want %d", got, span)
+	for sname, s := range segs {
+		for kname, k := range kernels {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on the %s endpoint %v returned instead of panicking", kname, sname, s)
+					}
+				}()
+				k(s)
+			}()
+		}
 	}
 }
 
@@ -405,9 +400,9 @@ func TestArenaScratchReuse(t *testing.T) {
 	}
 }
 
-// treeQueryOffsets shift a decoded soup; all but the first leave the
-// packed-key range.
-var treeQueryOffsets = []Point{{0, 0}, {1 << 32, 0}, {0, -(1 << 40)}, {-(1 << 31), 1 << 33}}
+// treeQueryOffsets shift a decoded soup; all but the first put it at an
+// edge of the packed-key range [-2^30, 2^30).
+var treeQueryOffsets = []Point{{0, 0}, {coordBias - 16, 0}, {0, 8 - coordBias}, {8 - coordBias, coordBias - 16}}
 
 // decodeTreeQuery reads a segment soup, a source and targets from fuzz
 // input. Byte 0 picks a coordinate offset from treeQueryOffsets; 3-byte
@@ -549,10 +544,10 @@ func TestArenaCountersAdvance(t *testing.T) {
 func TestPackKeyRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("packKey accepted an out-of-range coordinate")
+			t.Fatal("packRun accepted an out-of-range coordinate")
 		}
 	}()
-	packKey(false, 1<<30, 0)
+	packRun(false, 1<<30, 0, 1)
 }
 
 func BenchmarkArenaKernels(b *testing.B) {

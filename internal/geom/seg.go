@@ -76,28 +76,6 @@ func (s Seg) Touches(o Seg) bool {
 	}
 }
 
-// Overlap returns the shared length of two collinear segments, or 0 when
-// they are not collinear or do not overlap. Touching at a single point
-// contributes zero length.
-func Overlap(a, b Seg) int {
-	a, b = a.Norm(), b.Norm()
-	switch {
-	case a.Horizontal() && b.Horizontal() && a.A.Y == b.A.Y:
-		lo := max(a.A.X, b.A.X)
-		hi := min(a.B.X, b.B.X)
-		if hi > lo {
-			return hi - lo
-		}
-	case a.Vertical() && b.Vertical() && a.A.X == b.A.X:
-		lo := max(a.A.Y, b.A.Y)
-		hi := min(a.B.Y, b.B.Y)
-		if hi > lo {
-			return hi - lo
-		}
-	}
-	return 0
-}
-
 // SplitAt cuts every segment at each point of pts lying in its interior,
 // so those points become tree nodes. The pieces come normalized, in the
 // order of segs and along each segment from its lesser endpoint;
@@ -147,20 +125,6 @@ func LShape(a, b Point) []Seg {
 	}
 	if corner != b {
 		out = append(out, Seg{A: corner, B: b})
-	}
-	return out
-}
-
-// LShapeVia returns the rectilinear connection between a and b bending at
-// the explicit corner point v. It panics if v is not axis-aligned with both
-// endpoints.
-func LShapeVia(a, v, b Point) []Seg {
-	var out []Seg
-	if a != v {
-		out = append(out, S(a, v))
-	}
-	if v != b {
-		out = append(out, S(v, b))
 	}
 	return out
 }

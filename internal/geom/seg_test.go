@@ -49,42 +49,6 @@ func TestSegContains(t *testing.T) {
 	}
 }
 
-func TestOverlap(t *testing.T) {
-	cases := []struct {
-		a, b Seg
-		want int
-	}{
-		{S(Pt(0, 0), Pt(5, 0)), S(Pt(3, 0), Pt(8, 0)), 2},
-		{S(Pt(0, 0), Pt(5, 0)), S(Pt(5, 0), Pt(8, 0)), 0},  // touch only
-		{S(Pt(0, 0), Pt(5, 0)), S(Pt(0, 1), Pt(5, 1)), 0},  // parallel rows
-		{S(Pt(0, 0), Pt(0, 5)), S(Pt(0, 2), Pt(0, 3)), 1},  // nested vertical
-		{S(Pt(0, 0), Pt(5, 0)), S(Pt(2, -1), Pt(2, 4)), 0}, // perpendicular
-	}
-	for _, c := range cases {
-		if got := Overlap(c.a, c.b); got != c.want {
-			t.Errorf("Overlap(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestOverlapSymmetric(t *testing.T) {
-	f := func(ax, bx, cx, dx, y int8, vertical bool) bool {
-		var a, b Seg
-		if vertical {
-			a = S(Pt(int(y), int(ax)), Pt(int(y), int(bx)))
-			b = S(Pt(int(y), int(cx)), Pt(int(y), int(dx)))
-		} else {
-			a = S(Pt(int(ax), int(y)), Pt(int(bx), int(y)))
-			b = S(Pt(int(cx), int(y)), Pt(int(dx), int(y)))
-		}
-		o := Overlap(a, b)
-		return o == Overlap(b, a) && o >= 0 && o <= min(a.Len(), b.Len())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSplitAt(t *testing.T) {
 	h := S(Pt(0, 2), Pt(4, 2))
 	cases := []struct {
@@ -138,17 +102,6 @@ func TestLShape(t *testing.T) {
 	}
 	if got := LShape(Pt(2, 2), Pt(2, 2)); len(got) != 0 {
 		t.Errorf("zero L-shape = %v", got)
-	}
-}
-
-func TestLShapeVia(t *testing.T) {
-	segs := LShapeVia(Pt(0, 0), Pt(0, 4), Pt(3, 4))
-	tr := NewTree(segs...)
-	if tr.WireLength() != 7 {
-		t.Errorf("wirelength = %d", tr.WireLength())
-	}
-	if tr.Bends() != 1 {
-		t.Errorf("bends = %d, want 1", tr.Bends())
 	}
 }
 

@@ -8,9 +8,8 @@ import "slices"
 // segment as a pair of node indices; path lengths add a CSR adjacency over
 // those indices. All of it lives in arena scratch, so a warm arena answers
 // connectivity without allocating and path lengths with only their result
-// slice. Nodes are Points rather than packed keys, so coordinates outside
-// the packed range take the same path (only the wide Canon fallback
-// underneath allocates).
+// slice. The view is built on Canon, so it takes the same coordinate range
+// as the arena kernels: [-2^30, 2^30), and a panic outside it.
 
 // connected reports whether the segments form a single connected component
 // that touches every one of the given pins. Without any wire (no segment of

@@ -69,8 +69,8 @@ func Solve(p *route.Problem, opt Options) Result {
 // SolveCtx is Solve honoring the context: cancellation is checked between
 // tiles, inside every tile ILP, and per object of the greedy sweep, so the
 // call returns promptly with ctx's error and the partial assignment
-// committed so far. Each tile's ILP deadline is the smaller of TimePerTile
-// and the context deadline.
+// committed so far. Each tile runs under a context deadline TimePerTile
+// away, or the caller's deadline when that comes first.
 func SolveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error) {
 	var res Result
 	err := obs.Do(ctx, obs.StageHier, 0, func(ctx context.Context) error {
@@ -128,7 +128,9 @@ func solveCtx(ctx context.Context, p *route.Problem, opt Options) (Result, error
 		// A tile whose model exceeds exact's size guard, or whose ILP ends
 		// without a solution, commits nothing and leaves its objects to the
 		// sweep; a cancellation surfaces at the next tile or in the sweep.
-		tile, err := exact.SolveObjects(ctx, p, objs, u.Avail, a.Choice, exact.Options{TimeLimit: opt.TimePerTile})
+		tctx, cancel := context.WithTimeout(ctx, opt.TimePerTile)
+		tile, err := exact.SolveObjects(tctx, p, objs, u.Avail, a.Choice, exact.Options{})
+		cancel()
 		if err == nil {
 			commitTile(p, objs, tile.Assignment, u, &a)
 		}

@@ -137,16 +137,6 @@ func Partition(groupIdx int, g *signal.Group) []Object {
 	return out
 }
 
-// PartitionDesign partitions every group of the design and returns the
-// objects in group order.
-func PartitionDesign(d *signal.Design) []Object {
-	var out []Object
-	for gi := range d.Groups {
-		out = append(out, Partition(gi, &d.Groups[gi])...)
-	}
-	return out
-}
-
 // centerRep picks the member whose driver is closest to the center of the
 // object's pin bounding box.
 func centerRep(g *signal.Group, members []int) int {

@@ -147,24 +147,6 @@ func TestRepIsCentral(t *testing.T) {
 	}
 }
 
-func TestPartitionDesign(t *testing.T) {
-	d := &signal.Design{
-		Name: "d",
-		Grid: signal.GridSpec{W: 32, H: 32, NumLayers: 4, EdgeCap: 4},
-		Groups: []signal.Group{
-			twoStyleGroup(),
-			{Bits: []signal.Bit{{Driver: 0, Pins: []signal.Pin{{Loc: geom.Pt(20, 20)}, {Loc: geom.Pt(25, 20)}}}}},
-		},
-	}
-	objs := PartitionDesign(d)
-	if len(objs) != 3 {
-		t.Fatalf("objects = %d, want 3", len(objs))
-	}
-	if objs[0].GroupIdx != 0 || objs[2].GroupIdx != 1 {
-		t.Error("group indices wrong")
-	}
-}
-
 func TestMirroredBitsSeparate(t *testing.T) {
 	// A bit with sink to the east and one with sink to the west must not
 	// share an object even though distances match.

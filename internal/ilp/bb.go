@@ -48,11 +48,9 @@ func (s Status) String() string {
 type SolveOptions struct {
 	// Ctx, when non-nil, carries the caller's cancellation signal and
 	// deadline into the search: cancellation yields the Canceled status,
-	// while a context deadline behaves exactly like TimeLimit (whichever
-	// expires first wins).
+	// while an expired deadline ends the search with the best solution so
+	// far (Feasible) or none (TimedOut).
 	Ctx context.Context
-	// TimeLimit bounds the wall-clock solve time. Zero means no limit.
-	TimeLimit time.Duration
 	// Incumbent optionally provides a known-feasible starting solution
 	// whose objective primes the pruning bound.
 	Incumbent []float64
@@ -82,13 +80,7 @@ func Solve(m *Model, opt SolveOptions) Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	deadline := time.Time{}
-	if opt.TimeLimit > 0 {
-		deadline = start.Add(opt.TimeLimit)
-	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
+	deadline, _ := ctx.Deadline()
 	n := m.NumVars()
 
 	var bestX []float64

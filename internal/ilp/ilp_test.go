@@ -308,9 +308,10 @@ func TestSolveRespectsIncumbent(t *testing.T) {
 	}
 }
 
-func TestSolveTimeLimit(t *testing.T) {
-	// A large random model with a microscopic time limit must stop quickly
-	// and report TimedOut or Feasible (if the incumbent arrived first).
+func TestSolveDeadline(t *testing.T) {
+	// A large random model under a microscopic context deadline must stop
+	// quickly and report TimedOut or Feasible (if the incumbent arrived
+	// first).
 	r := rand.New(rand.NewSource(7))
 	nBin := 60
 	m := NewModel(nBin)
@@ -328,9 +329,11 @@ func TestSolveTimeLimit(t *testing.T) {
 		m.AddConstraint(terms, float64(5+r.Intn(10)))
 	}
 	start := time.Now()
-	res := Solve(m, SolveOptions{TimeLimit: 30 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	res := Solve(m, SolveOptions{Ctx: ctx})
 	if el := time.Since(start); el > 3*time.Second {
-		t.Fatalf("time limit ignored: ran %v", el)
+		t.Fatalf("deadline ignored: ran %v", el)
 	}
 	if res.Status == Optimal && res.Nodes < 3 {
 		t.Fatalf("suspiciously fast optimal: %+v", res)

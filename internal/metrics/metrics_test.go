@@ -99,12 +99,13 @@ func TestManualBaselineBeatsOnWLButOverflows(t *testing.T) {
 func TestWLHugeGridNoOverflow(t *testing.T) {
 	// Regression: WL used to be computed as float64(wl * pitch), where the
 	// int multiply overflows before the conversion. A single routed segment
-	// of 4e9 cells at pitch 4e9 puts the product at 1.6e19 > MaxInt64, so
-	// the pre-fix code reported a negative wirelength.
-	const span = 4_000_000_000
+	// of 4e6 cells (inside the design's grid bound) at pitch 4e12 puts the
+	// product at 1.6e19 > MaxInt64, so the pre-fix code reported a negative
+	// wirelength.
+	const span, pitch = 4_000_000, 4_000_000_000_000
 	d := &signal.Design{
 		Name: "huge",
-		Grid: signal.GridSpec{W: span + 1, H: 2, NumLayers: 2, EdgeCap: 1, Pitch: span},
+		Grid: signal.GridSpec{W: span + 1, H: 2, NumLayers: 2, EdgeCap: 1, Pitch: pitch},
 		Groups: []signal.Group{{Bits: []signal.Bit{
 			{Driver: 0, Pins: []signal.Pin{{Loc: geom.Pt(0, 0)}, {Loc: geom.Pt(span, 0)}}},
 		}}},
@@ -117,7 +118,7 @@ func TestWLHugeGridNoOverflow(t *testing.T) {
 		Objects: make([][]route.SolutionObject, 1),
 	}
 	m := Compute(d, r, nil, postopt.Options{})
-	want := float64(span) * float64(span) // 1.6e19
+	want := float64(span) * float64(pitch) // 1.6e19
 	if m.WL != want {
 		t.Fatalf("WL = %v, want %v (int overflow in wl*pitch?)", m.WL, want)
 	}

@@ -65,10 +65,9 @@ func NewRecorder() *Recorder {
 }
 
 // Span is one in-flight stage measurement; End finishes it. A nil *Span
-// (from a nil recorder) ignores every call. Spans nest: StartChild opens a
-// sub-span whose record carries the parent's name, and obs.Do threads the
-// current stage span through the context so nested stages parent
-// automatically.
+// (from a nil recorder) ignores every call. Spans nest through obs.Do, which
+// threads the current stage span through the context so a nested stage's
+// record carries its parent's name.
 type Span struct {
 	r       *Recorder
 	name    string
@@ -104,15 +103,6 @@ type ActiveSpan struct {
 // defer.
 func (r *Recorder) StartSpan(name string) *Span {
 	return r.startSpan(name, "")
-}
-
-// StartChild opens a span nested under s; its record carries s's name as
-// Parent.
-func (s *Span) StartChild(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.r.startSpan(name, s.name)
 }
 
 func (r *Recorder) startSpan(name, parent string) *Span {

@@ -44,12 +44,6 @@ func TestNilRecorderSafe(t *testing.T) {
 			}
 		}},
 		{"AnnotateBuildInfo", func() { r.AnnotateBuildInfo() }},
-		{"Span.StartChild", func() {
-			var sp *Span
-			if c := sp.StartChild("x"); c != nil {
-				t.Error("nil span spawned a child")
-			}
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -235,26 +229,6 @@ func TestCollector(t *testing.T) {
 	}
 	if runs[0].Report.Labels["flow"] != "pd" {
 		t.Errorf("flow label missing: %+v", runs[0].Report.Labels)
-	}
-}
-
-// TestStartChildParent pins span nesting: the child's record names its
-// parent, and obs.Do parents under the span already in the context.
-func TestStartChildParent(t *testing.T) {
-	r := NewRecorder()
-	root := r.StartSpan("run")
-	child := root.StartChild(StagePD)
-	child.End()
-	root.End()
-	rep := r.Report()
-	if len(rep.Spans) != 2 {
-		t.Fatalf("spans = %+v", rep.Spans)
-	}
-	if rep.Spans[0].Name != StagePD || rep.Spans[0].Parent != "run" {
-		t.Errorf("child record = %+v", rep.Spans[0])
-	}
-	if rep.Spans[1].Parent != "" {
-		t.Errorf("root record = %+v", rep.Spans[1])
 	}
 }
 

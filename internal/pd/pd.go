@@ -146,17 +146,12 @@ func solveCtx(ctx context.Context, p *route.Problem) (Result, error) {
 		if bestI == -1 {
 			// No live candidate anywhere: mark all remaining unrouted
 			// (lines 10-12 applied collectively).
-			allDone := true
 			for i := 0; i < n; i++ {
 				if !done[i] {
 					done[i] = true
 					a.Choice[i] = -1
 					iterations++
-					allDone = false
 				}
-			}
-			if allDone {
-				break
 			}
 			break
 		}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/grid"
-	"repro/internal/metrics"
 )
 
 // FormatRuntime renders a runtime like the paper's CPU column: seconds
@@ -73,16 +72,6 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// MetricsCells formats the standard metric columns (Route, WL(1e5),
-// Avg(Reg)) the way the paper prints them.
-func MetricsCells(m metrics.Metrics) []string {
-	return []string{
-		fmt.Sprintf("%.2f%%", m.RouteFrac*100),
-		fmt.Sprintf("%.2f", m.WL/1e5),
-		fmt.Sprintf("%.2f%%", m.AvgReg*100),
-	}
 }
 
 // Heatmap renders the cell-congestion map as ASCII art: ' ' empty, '.' to

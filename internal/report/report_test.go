@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/grid"
-	"repro/internal/metrics"
 )
 
 func TestFormatRuntime(t *testing.T) {
@@ -36,14 +35,6 @@ func TestTable(t *testing.T) {
 	// All data lines equal width (aligned).
 	if len(lines[1]) != len(lines[3]) || len(lines[3]) != len(lines[4]) {
 		t.Error("table rows not aligned")
-	}
-}
-
-func TestMetricsCells(t *testing.T) {
-	m := metrics.Metrics{RouteFrac: 0.9913, WL: 730000, AvgReg: 0.9813}
-	cells := MetricsCells(m)
-	if cells[0] != "99.13%" || cells[1] != "7.30" || cells[2] != "98.13%" {
-		t.Errorf("cells = %v", cells)
 	}
 }
 

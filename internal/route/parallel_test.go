@@ -91,46 +91,3 @@ func TestBuildCtxCanceled(t *testing.T) {
 		t.Fatal("BuildCtx succeeded under a canceled context")
 	}
 }
-
-// TestBitTreeMatchesScan cross-checks the (group, bit) index against the
-// exhaustive object scan BitTree used to perform.
-func TestBitTreeMatchesScan(t *testing.T) {
-	p := buildWithWorkers(t, 2)
-	a := p.NewAssignment()
-	for i := range a.Choice {
-		if len(p.Cands[i]) > 0 && i%2 == 0 {
-			a.Choice[i] = 0
-		}
-	}
-	for gi := range p.Design.Groups {
-		for bi := range p.Design.Groups[gi].Bits {
-			got := p.BitTree(a, gi, bi)
-			// Reference: the linear scan BitTree used to perform.
-			found := false
-			for i := range p.Objects {
-				if p.Objects[i].GroupIdx != gi {
-					continue
-				}
-				for k, b := range p.Objects[i].BitIdx {
-					if b != bi {
-						continue
-					}
-					found = true
-					if a.Choice[i] < 0 {
-						if got != nil {
-							t.Fatalf("bit (%d,%d): index returned a tree for unrouted object", gi, bi)
-						}
-						continue
-					}
-					want := p.Cands[i][a.Choice[i]].Topo.BitTrees[k]
-					if got == nil || got.String() != want.String() {
-						t.Fatalf("bit (%d,%d): index tree mismatch", gi, bi)
-					}
-				}
-			}
-			if !found && got != nil {
-				t.Fatalf("bit (%d,%d): tree for unknown bit", gi, bi)
-			}
-		}
-	}
-}

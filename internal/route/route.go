@@ -87,10 +87,6 @@ type Problem struct {
 
 	// kern is the precomputed pair-cost kernel (see kernel.go).
 	kern kernel
-	// bitObj indexes (group index, bit index) to the owning object and the
-	// bit's position within it, replacing the linear all-objects scan that
-	// metrics and refinement performed per bit.
-	bitObj map[[2]int]bitRef
 
 	// usagePool hands out pooled Usage trackers for Grid (see UsagePool).
 	usagePool *grid.UsagePool
@@ -105,10 +101,6 @@ func (p *Problem) UsagePool() *grid.UsagePool {
 	p.poolOnce.Do(func() { p.usagePool = grid.NewUsagePool(p.Grid) })
 	return p.usagePool
 }
-
-// bitRef locates one bit inside the object list: object index plus the
-// bit's position in that object's BitIdx.
-type bitRef struct{ obj, k int }
 
 // NewGrid materializes the design's grid spec, applying blockages.
 func NewGrid(d *signal.Design) *grid.Grid {
@@ -140,9 +132,8 @@ func BuildCtx(ctx context.Context, d *signal.Design, opt Options) (*Problem, err
 // every group; with one, each group whose changed entry is false keeps the
 // base's objects and candidate slices, and only the other groups are
 // partitioned. The partitioned objects go through the candidate fan-out;
-// the bit index and the pair-cost kernel cover the whole problem. It
-// returns how many objects it generated candidates for. opt must already
-// carry defaults.
+// the pair-cost kernel covers the whole problem. It returns how many
+// objects it generated candidates for. opt must already carry defaults.
 func build(ctx context.Context, d *signal.Design, opt Options, base *Problem, changed []bool) (*Problem, int, error) {
 	if err := d.Validate(); err != nil {
 		return nil, 0, err
@@ -204,27 +195,12 @@ func build(ctx context.Context, d *signal.Design, opt Options, base *Problem, ch
 		rec.Add(obs.CounterBuildArenaPoolGets, gets1-arenaGets0)
 		rec.Add(obs.CounterBuildArenaPoolFresh, fresh1-arenaFresh0)
 	}
-	p.indexBits()
 	if err := obs.Do(ctx, obs.StageKernel, workers, func(ctx context.Context) error {
 		return p.buildKernel(ctx, workers)
 	}); err != nil {
 		return nil, 0, fmt.Errorf("route: %w", err)
 	}
 	return p, len(regen), nil
-}
-
-// indexBits builds the (group, bit) -> object lookup behind BitTree.
-func (p *Problem) indexBits() {
-	p.bitObj = make(map[[2]int]bitRef)
-	for i := range p.Objects {
-		obj := &p.Objects[i]
-		for k, bi := range obj.BitIdx {
-			key := [2]int{obj.GroupIdx, bi}
-			if _, dup := p.bitObj[key]; !dup {
-				p.bitObj[key] = bitRef{i, k}
-			}
-		}
-	}
 }
 
 // Group returns the signal group owning object i.
@@ -479,20 +455,6 @@ func (p *Problem) ObjectiveValue(a Assignment) float64 {
 		}
 	}
 	return total
-}
-
-// BitTree returns the routed tree of a specific bit under the assignment,
-// or nil when its object is unrouted or the bit is unknown. The bit is
-// addressed by group and bit index and resolved through the prebuilt
-// (group, bit) -> object index, so per-bit callers (metrics, refinement)
-// no longer scan every object.
-func (p *Problem) BitTree(a Assignment, groupIdx, bitIdx int) *geom.Tree {
-	ref, ok := p.bitObj[[2]int{groupIdx, bitIdx}]
-	if !ok || a.Choice[ref.obj] < 0 {
-		return nil
-	}
-	t := p.Cands[ref.obj][a.Choice[ref.obj]].Topo.BitTrees[ref.k]
-	return &t
 }
 
 func iabs(v int) int {

@@ -221,23 +221,3 @@ func TestObjectiveValueCountsPairsOnce(t *testing.T) {
 		t.Errorf("objective = %v, want %v", got, want)
 	}
 }
-
-func TestBitTree(t *testing.T) {
-	p, _ := Build(smallDesign(), Options{})
-	a := p.NewAssignment()
-	a.Choice[0] = 0
-	tr := p.BitTree(a, 0, 1)
-	if tr == nil {
-		t.Fatal("BitTree returned nil for routed bit")
-	}
-	bit := &p.Design.Groups[0].Bits[1]
-	if !tr.Connected(bit.PinLocs()) {
-		t.Error("bit tree does not connect its pins")
-	}
-	if got := p.BitTree(a, 1, 0); got != nil {
-		t.Error("unrouted object should return nil tree")
-	}
-	if got := p.BitTree(a, 7, 0); got != nil {
-		t.Error("unknown group should return nil")
-	}
-}

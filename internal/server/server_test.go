@@ -123,6 +123,35 @@ func TestInvalidDesignRejectedBeforeAdmission(t *testing.T) {
 	}
 }
 
+// TestOversizedGridRejectedBeforeAdmission posts a body of under 200 bytes
+// whose 2^20×2^20×64 grid would need about 256 TiB of edge capacities: it
+// must get a 400 from validation, before it is admitted or any grid is
+// allocated, and the daemon must keep answering.
+func TestOversizedGridRejectedBeforeAdmission(t *testing.T) {
+	s := New(Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"Name":"huge","Grid":{"W":1048576,"H":1048576,"NumLayers":64,"EdgeCap":1},` +
+		`"Groups":[{"Name":"g","Bits":[{"Name":"b","Driver":0,"Pins":[{"Loc":{"X":0,"Y":0}},{"Loc":{"X":1048575,"Y":1048575}}]}]}]}`
+	var er ErrorResponse
+	resp := post(t, ts, "/route", strings.NewReader(body), &er)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(er.Error, "exceeds") {
+		t.Fatalf("oversized grid: status %d, %+v; want 400 naming the bound", resp.StatusCode, er)
+	}
+	if st := s.Stats(); st.Served != 0 || st.Inflight != 0 {
+		t.Errorf("oversized grid consumed a slot: %+v", st)
+	}
+	hr, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the oversized request = %d, want 200", hr.StatusCode)
+	}
+}
+
 // TestPanicIsolation injects a panic into the first request's pipeline and
 // asserts the request dies with a 500 while the process — and the very
 // next request — keep working.

@@ -7,6 +7,7 @@ package signal
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/geom"
@@ -151,8 +152,15 @@ type Design struct {
 	Groups []Group
 }
 
+// maxGridCells bounds W·H·NumLayers, 33× the largest Industry preset
+// (288×288×6). It keeps every G-cell coordinate below 2^23, far inside the
+// packed range of geom's kernels, and every per-layer edge index within an
+// int32.
+const maxGridCells = 1 << 24
+
 // Validate reports the first structural problem with the design, or nil:
-// a usable grid (dimensions, positive layer count and edge capacity,
+// a usable grid (dimensions, positive layer count and edge capacity, at
+// most maxGridCells G-cells over all layers, capacities that fit an int32,
 // blockages on existing layers), at least one signal group, per-bit
 // structure (>= 2 pins, valid driver, no duplicate pin locations), and
 // every pin inside the grid bounds. Errors name the offending group and
@@ -164,8 +172,12 @@ func (d *Design) Validate() error {
 	if d.Grid.NumLayers < 2 {
 		return fmt.Errorf("design %q: need >= 2 layers", d.Name)
 	}
-	if d.Grid.EdgeCap < 1 {
-		return fmt.Errorf("design %q: edge capacity %d, need >= 1", d.Name, d.Grid.EdgeCap)
+	// Divide rather than multiply, so no product can overflow.
+	if w, h := d.Grid.W, d.Grid.H; w > maxGridCells || h > maxGridCells/w || d.Grid.NumLayers > maxGridCells/(w*h) {
+		return fmt.Errorf("design %q: grid %dx%dx%d exceeds %d G-cells", d.Name, w, h, d.Grid.NumLayers, maxGridCells)
+	}
+	if d.Grid.EdgeCap < 1 || d.Grid.EdgeCap > math.MaxInt32 {
+		return fmt.Errorf("design %q: edge capacity %d, need 1..%d", d.Name, d.Grid.EdgeCap, math.MaxInt32)
 	}
 	if d.Grid.Pitch < 0 {
 		return fmt.Errorf("design %q: negative pitch %d", d.Name, d.Grid.Pitch)
@@ -174,8 +186,8 @@ func (d *Design) Validate() error {
 		if b.Layer < 0 || b.Layer >= d.Grid.NumLayers {
 			return fmt.Errorf("design %q: blockage %d on layer %d, have %d layers", d.Name, i, b.Layer, d.Grid.NumLayers)
 		}
-		if b.Cap < 0 {
-			return fmt.Errorf("design %q: blockage %d has negative capacity %d", d.Name, i, b.Cap)
+		if b.Cap < 0 || b.Cap > math.MaxInt32 {
+			return fmt.Errorf("design %q: blockage %d has capacity %d, need 0..%d", d.Name, i, b.Cap, math.MaxInt32)
 		}
 	}
 	if len(d.Groups) == 0 {

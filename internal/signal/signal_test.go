@@ -52,9 +52,14 @@ func TestValidateErrors(t *testing.T) {
 		{func(d *Design) { d.Groups[1].Bits[0].Pins[2].Loc = geom.Pt(99, 99) }, "off grid"},
 		{func(d *Design) { d.Grid.EdgeCap = 0 }, "edge capacity"},
 		{func(d *Design) { d.Grid.EdgeCap = -3 }, "edge capacity"},
+		{func(d *Design) { d.Grid.EdgeCap = 3e9 }, "edge capacity"},
+		{func(d *Design) { d.Grid.W, d.Grid.H = 1<<12, 1<<12 }, "exceeds"},
+		{func(d *Design) { d.Grid.W, d.Grid.H = 1<<32, 1<<32 }, "exceeds"},
+		{func(d *Design) { d.Grid.W, d.Grid.NumLayers = 1<<20, 1<<44 }, "exceeds"},
 		{func(d *Design) { d.Grid.Pitch = -1 }, "pitch"},
 		{func(d *Design) { d.Grid.Blockages[0].Layer = 9 }, "blockage"},
 		{func(d *Design) { d.Grid.Blockages[0].Cap = -1 }, "blockage"},
+		{func(d *Design) { d.Grid.Blockages[0].Cap = 3e9 }, "blockage"},
 		{func(d *Design) { d.Groups = nil }, "no signal groups"},
 		{func(d *Design) { d.Groups[0].Bits[1].Pins[1].Loc = d.Groups[0].Bits[1].Pins[0].Loc }, "both at"},
 	}
@@ -163,6 +168,24 @@ func TestReadJSONRejectsInvalid(t *testing.T) {
 	}
 	if _, err := ReadJSON(strings.NewReader(`not json`)); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// oversizedBody is a design of under 200 bytes whose 2^20×2^20×64 grid
+// would ask grid.New for about 256 TiB of edge capacities.
+const oversizedBody = `{"Name":"huge","Grid":{"W":1048576,"H":1048576,"NumLayers":64,"EdgeCap":1},` +
+	`"Groups":[{"Name":"g","Bits":[{"Name":"b","Driver":0,"Pins":[{"Loc":{"X":0,"Y":0}},{"Loc":{"X":1048575,"Y":1048575}}]}]}]}`
+
+func TestReadJSONRejectsOversizedGrid(t *testing.T) {
+	_, err := ReadJSON(strings.NewReader(oversizedBody))
+	if err == nil || !strings.Contains(err.Error(), "exceeds") {
+		t.Fatalf("ReadJSON(oversized grid) err = %v, want the grid bound", err)
+	}
+	// The bound admits the largest preset grid (288x288x6) with room.
+	d := sampleDesign()
+	d.Grid.W, d.Grid.H, d.Grid.NumLayers = 2048, 2048, 4
+	if err := d.Validate(); err != nil {
+		t.Fatalf("2048x2048x4 grid rejected: %v", err)
 	}
 }
 

@@ -76,18 +76,6 @@ func (v SV) L1(w SV) int {
 	return d
 }
 
-// SVOf computes the similarity vector of the point p relative to the given
-// other points. Points coincident with p are skipped.
-func SVOf(p geom.Point, others []geom.Point) SV {
-	var v SV
-	for _, q := range others {
-		if d := DirOf(p, q); d >= 0 {
-			v[d]++
-		}
-	}
-	return v
-}
-
 // PinSV returns the similarity vector of pin i of the bit: the direction
 // histogram of every other pin of the bit as seen from pin i.
 func (b *Bit) PinSV(i int) SV {

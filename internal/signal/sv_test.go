@@ -179,10 +179,3 @@ func TestSVL1(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSVOf(t *testing.T) {
-	v := SVOf(geom.Pt(0, 0), []geom.Point{geom.Pt(1, 0), geom.Pt(1, 0), geom.Pt(0, 0)})
-	if v != (SV{2, 0, 0, 0, 0, 0, 0, 0}) {
-		t.Errorf("SVOf = %v", v)
-	}
-}

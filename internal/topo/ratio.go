@@ -8,16 +8,6 @@ import (
 	"repro/internal/signal"
 )
 
-// RCs returns the rectilinear connections of the topology: canonical
-// segments additionally split at the bit's pin locations, so every RC runs
-// between two features (pins, corners, or junctions).
-func RCs(t geom.Tree, pins []geom.Point) []geom.Seg {
-	ar := geom.GetArena()
-	rcs := geom.SplitAt(ar.Canon(t.Segs), pins)
-	geom.PutArena(ar)
-	return rcs
-}
-
 // feature is a matchable topology point: a pin or a bending point, with its
 // driver-weighted similarity vector (§III-B3).
 type feature struct {
@@ -40,7 +30,9 @@ type Regularity struct {
 func NewRegularity(t geom.Tree, bit *signal.Bit) Regularity {
 	ar := geom.GetArena()
 	defer geom.PutArena(ar)
-	rcs := ar.SplitAt(ar.Canon(t.Segs), bit.PinLocs()) // RCs(t, pins)
+	// The RCs: canonical segments split at the bit's pins, so every RC
+	// runs between two features (pins, corners or junctions).
+	rcs := ar.SplitAt(ar.Canon(t.Segs), bit.PinLocs())
 	if len(rcs) == 0 {
 		return Regularity{}
 	}

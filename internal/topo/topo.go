@@ -127,11 +127,9 @@ type ObjectTopology struct {
 	// Backbone is the representative topology.
 	Backbone geom.Tree
 	// BitTrees holds one topology per member of the object, in BitIdx
-	// order.
+	// order: the equivalent topology of Algorithm 1, or a fresh per-bit
+	// Steiner tree where Algorithm 1 failed.
 	BitTrees []geom.Tree
-	// Equivalent is false for bits where Algorithm 1 failed and a fresh
-	// per-bit Steiner tree was used instead.
-	Equivalent []bool
 }
 
 // WireLength returns the total wirelength over all member bits.
@@ -155,9 +153,8 @@ func ObjectTopologies(g *signal.Group, obj *ident.Object, opt Options) []ObjectT
 	var out []ObjectTopology
 	for _, bb := range Backbones(g, obj, opt) {
 		ot := ObjectTopology{
-			Backbone:   bb,
-			BitTrees:   make([]geom.Tree, 0, len(obj.BitIdx)),
-			Equivalent: make([]bool, 0, len(obj.BitIdx)),
+			Backbone: bb,
+			BitTrees: make([]geom.Tree, 0, len(obj.BitIdx)),
 		}
 		for k, bi := range obj.BitIdx {
 			bit := &g.Bits[bi]
@@ -166,7 +163,6 @@ func ObjectTopologies(g *signal.Group, obj *ident.Object, opt Options) []ObjectT
 				t = steiner.Iterated1Steiner(bit.PinLocs(), steiner.Options{BendWeight: opt.BendWeight})
 			}
 			ot.BitTrees = append(ot.BitTrees, t)
-			ot.Equivalent = append(ot.Equivalent, ok)
 		}
 		out = append(out, ot)
 	}
@@ -190,10 +186,7 @@ func ObjectTopologies(g *signal.Group, obj *ident.Object, opt Options) []ObjectT
 // the object's regularity is preserved. Returns ok=false when any tree has
 // no segment to shift.
 func shiftTopology(ot ObjectTopology, repPins []geom.Point, pinSets [][]geom.Point, d int) (ObjectTopology, bool) {
-	out := ObjectTopology{
-		BitTrees:   make([]geom.Tree, 0, len(ot.BitTrees)),
-		Equivalent: append([]bool(nil), ot.Equivalent...),
-	}
+	out := ObjectTopology{BitTrees: make([]geom.Tree, 0, len(ot.BitTrees))}
 	var ok bool
 	if out.Backbone, ok = shiftTree(ot.Backbone, repPins, d); !ok {
 		return ObjectTopology{}, false
@@ -209,8 +202,12 @@ func shiftTopology(ot ObjectTopology, repPins []geom.Point, pinSets [][]geom.Poi
 }
 
 // shiftTree U-shifts the longest canonical segment of the tree. Segments
-// are first split at pin locations so no pin can sit in the interior of
-// the moved run — otherwise the shift would disconnect it.
+// are first split at pin locations so no pin sits in the interior of the
+// moved run, and a canonical piece meets the rest of the tree only at its
+// ends; the jog joins the same two ends, so the shifted tree connects the
+// pins whenever t does. Every tree ObjectTopologies passes in does: a
+// Steiner backbone, a connected Equivalent output, or the per-bit Steiner
+// fallback. ok is false when no piece is at least 2 long.
 func shiftTree(t geom.Tree, pins []geom.Point, d int) (geom.Tree, bool) {
 	ar := geom.GetArena()
 	segs := ar.SplitAt(ar.Canon(t.Segs), pins)
@@ -239,9 +236,6 @@ func shiftTree(t geom.Tree, pins []geom.Point, d int) (geom.Tree, bool) {
 	out.Segs = append(out.Segs, segs[best+1:]...)
 	out.Segs = append(out.Segs, geom.S(s.A, a).Norm(), geom.S(a, b).Norm(), geom.S(b, s.B).Norm())
 	geom.PutArena(ar)
-	if !out.Connected(pins) {
-		return geom.Tree{}, false
-	}
 	return out, true
 }
 

@@ -229,14 +229,15 @@ func TestRatioSymmetricAndBounded(t *testing.T) {
 }
 
 func TestRCs(t *testing.T) {
-	// Z-shape with a pin in the middle of the first leg.
+	// Z-shape with a pin in the middle of the first leg: the regularity's
+	// RCs split the canonical segments there.
 	tr := geom.NewTree(
 		geom.S(geom.Pt(0, 0), geom.Pt(4, 0)),
 		geom.S(geom.Pt(4, 0), geom.Pt(4, 3)),
 	)
-	rcs := RCs(tr, []geom.Point{geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(4, 3)})
-	if len(rcs) != 3 {
-		t.Fatalf("RCs = %d, want 3 (split at interior pin)", len(rcs))
+	bit := signal.Bit{Pins: []signal.Pin{{Loc: geom.Pt(0, 0)}, {Loc: geom.Pt(2, 0)}, {Loc: geom.Pt(4, 3)}}}
+	if r := NewRegularity(tr, &bit); len(r.rcs) != 3 {
+		t.Fatalf("RCs = %d, want 3 (split at interior pin)", len(r.rcs))
 	}
 }
 
